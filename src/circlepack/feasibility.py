@@ -42,6 +42,7 @@ from .grid import (
     Grid,
     Mode,
     SeparationFrontier,
+    bounding_box,
     relaxed_candidates,
     restricted_candidates,
     separation_frontier,
@@ -420,24 +421,11 @@ class _Engine:
         remaining = self.container_area - self.prefix_area[t] - self.idle
         return self.suffix_area[t] > remaining + self.area_margin
 
-    def _bbox(self, mask: np.ndarray) -> tuple[int, int, int, int] | None:
-        # boolean axis reductions instead of nonzero: the index arrays the
-        # latter materializes dominate the whole search at large grids
-        rows = mask.any(axis=1)
-        imin = int(rows.argmax())
-        if not rows[imin]:
-            return None
-        cols = mask.any(axis=0)
-        imax = int(rows.size - 1 - rows[::-1].argmax())
-        jmin = int(cols.argmax())
-        jmax = int(cols.size - 1 - cols[::-1].argmax())
-        return imin, imax, jmin, jmax
-
     def _farthest_prunes(self, t: int) -> bool:
         """Even the farthest candidates of the two largest unassigned
         circles are too close (bounding-box upper bound on distance)."""
-        box_a = self._bbox(self.masks[t])
-        box_b = self._bbox(self.masks[t + 1])
+        box_a = bounding_box(self.masks[t])
+        box_b = bounding_box(self.masks[t + 1])
         if box_a is None or box_b is None:
             return True
         max_di = max(box_a[1] - box_b[0], box_b[1] - box_a[0])

@@ -37,9 +37,11 @@ __all__ = [
     "Grid",
     "CandidateSet",
     "SeparationFrontier",
+    "bounding_box",
     "build_grid",
     "build_strip_grid",
     "grid_for_instance",
+    "min_sq_steps",
     "restricted_candidates",
     "relaxed_candidates",
     "separation_frontier",
@@ -286,6 +288,21 @@ def restricted_candidates(
     return CandidateSet(circle.id, "restricted", mask)
 
 
+def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """(imin, imax, jmin, jmax) of a mask's True cells, or None when empty."""
+    # boolean axis reductions instead of nonzero: the index arrays the
+    # latter materializes dominate the whole search at large grids
+    rows = mask.any(axis=1)
+    imin = int(rows.argmax())
+    if not rows[imin]:
+        return None
+    cols = mask.any(axis=0)
+    imax = int(rows.size - 1 - rows[::-1].argmax())
+    jmin = int(cols.argmax())
+    jmax = int(cols.size - 1 - cols[::-1].argmax())
+    return imin, imax, jmin, jmax
+
+
 def _nearest_steps(cell_index: np.ndarray) -> np.ndarray:
     """Distance (in whole cells) from the origin to cell [a, a+1] per axis."""
     return np.maximum(np.maximum(cell_index, 0), -(cell_index + 1))
@@ -361,6 +378,12 @@ def _ceil_isqrt(value: int) -> int:
     return root if root * root == value else root + 1
 
 
+def min_sq_steps(r_sum: float | Fraction, delta: float | Fraction) -> int:
+    """Exact pair threshold ceil((r_sum / delta)^2), in squared lattice steps."""
+    ratio = exact(r_sum) / exact(delta)
+    return math.ceil(ratio * ratio)
+
+
 def separation_frontier(
     r_sum: float, delta: float, mode: Mode, bound: int
 ) -> SeparationFrontier:
@@ -381,7 +404,7 @@ def separation_frontier(
         raise ValueError(
             f"bound {bound} too small for r_sum/delta = {float(ratio):.6g}"
         )
-    min_sq = math.ceil(ratio * ratio)
+    min_sq = min_sq_steps(r_sum, delta)
 
     pairs: list[tuple[int, int]] = []
     if mode == "restricted":

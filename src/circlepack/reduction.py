@@ -8,6 +8,18 @@ deletes cells that cannot be paired with any surviving cell of every other
 circle under the farthest-corner separation test (the relaxed predicate, so
 deletions never remove a truly feasible center).
 
+The support test is exact integer arithmetic.  A pair of circles with
+threshold ``min_sq`` forbids the cell offsets ``(x, y)`` with
+``(|x|+1)^2 + (|y|+1)^2 < min_sq``.  That is the set of lattice points in a
+convex region of the plane, because ``(|x|+1)^2 + (|y|+1)^2`` is a convex
+function.  So a cell ``p`` has no support from circle ``c`` exactly when
+every vertex of the convex hull of ``c``'s surviving cells lies at a
+forbidden offset from ``p``: then ``p`` minus the whole hull lies in the
+convex region, and with it every surviving cell of ``c``.  The vertices are
+themselves surviving cells, so the converse holds too.  Such a ``p`` is also
+within the pair's reach of every vertex along each axis, which confines the
+test to a box that is empty unless ``c``'s region is small.
+
 If any circle's region becomes empty, no continuous packing exists at the
 probed container size — an exact lower-bound certificate used both for
 bound initialization and for short-circuiting the bisection driver.
@@ -22,10 +34,16 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import signal
 
 from .geometry import Circle, Instance, exact
-from .grid import Grid, grid_for_instance, relaxed_candidates
+from .grid import (
+    Grid,
+    _nearest_steps,
+    bounding_box,
+    grid_for_instance,
+    min_sq_steps,
+    relaxed_candidates,
+)
 
 __all__ = [
     "RegionMap",
@@ -52,10 +70,6 @@ class RegionMap:
 
     def is_empty(self) -> bool:
         return any(not m.any() for m in self.masks.values())
-
-
-def _nearest_steps(cell_index: np.ndarray) -> np.ndarray:
-    return np.maximum(np.maximum(cell_index, 0), -(cell_index + 1))
 
 
 def _farthest_steps(cell_index: np.ndarray) -> np.ndarray:
@@ -156,70 +170,117 @@ def build_region_map(
     return RegionMap(grid=grid, size=float(size), masks=masks)
 
 
-def _forbidden_kernel(r_sum: Fraction, delta: Fraction) -> np.ndarray:
-    """Indicator of offsets (di, dj) whose farthest-corner distance is too
-    small: (|di|+1)^2 + (|dj|+1)^2 < ceil((r_sum/delta)^2)."""
-    min_sq = math.ceil((r_sum / delta) ** 2)
-    reach = max(0, math.isqrt(max(0, min_sq - 1)))  # |d|+1 <= sqrt(min_sq-1)
-    offs = np.arange(-reach, reach + 1)
-    a = (np.abs(offs) + 1) ** 2
-    bad = (a[:, None] + a[None, :]) < min_sq
-    return bad.astype(np.float64)
+def _hull(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Vertices of the convex hull of a nonempty mask's cells, counter-clockwise.
+
+    Only the first and last cell of each row can be a vertex, so the
+    monotone chain runs over those.  Collinear points are dropped; a single
+    cell or a straight run gives one or two vertices.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    sub = mask[rows]
+    first = sub.argmax(axis=1)
+    last = mask.shape[1] - 1 - sub[:, ::-1].argmax(axis=1)
+    points = []  # sorted by (i, j): the chain needs lexicographic order
+    for i, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
+        points.append((i, lo))
+        if hi != lo:
+            points.append((i, hi))
+    if len(points) <= 2:
+        return points
+
+    def chain(seq):
+        out: list[tuple[int, int]] = []
+        for p in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(points)[:-1] + chain(reversed(points))[:-1]
 
 
 def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None:
     """Arc-consistency fixpoint over the region bitmaps; None means EMPTY.
 
     A cell of circle k survives a sweep when, for every other circle c,
-    some current cell of c is far enough (farthest-corner test).  Support
-    counting is done by convolving c's bitmap with the pair's forbidden-
-    offset kernel: a cell is unsupported exactly when every cell of c lies
-    at a forbidden offset.  Sweeps update all circles from the same input
-    (double buffering) and stop at a fixpoint or after MAX_SWEEPS.
+    some current cell of c is far enough (farthest-corner test).  The
+    forbidden offsets of a pair are the lattice points of a convex set, so a
+    cell is unsupported exactly when every convex-hull vertex of c's cells
+    lies at a forbidden offset from it.  Only cells within the pair's reach
+    of all of c's cells along both axes can qualify; the bounding box of c
+    gives that window, and only its cells are tested, against the hull
+    vertices, in int64 arithmetic.  Sweeps update all circles from the same
+    input (double buffering) and stop at a fixpoint or after MAX_SWEEPS.
     """
     grid = region_map.grid
     ids = sorted(region_map.masks.keys())
     if len(ids) != len(radii):
         raise ValueError("radii count does not match region map")
-    rq = {cid: exact(radii[pos]) for pos, cid in enumerate(ids)}
     masks = {cid: region_map.masks[cid].copy() for cid in ids}
+    if any(not m.any() for m in masks.values()):
+        return None
 
-    kernels: dict[tuple[int, int], np.ndarray] = {}
+    rq = {cid: exact(radii[pos]) for pos, cid in enumerate(ids)}
+    min_sq: dict[tuple[int, int], int] = {}
     for a_pos, ca in enumerate(ids):
         for cb in ids[a_pos + 1 :]:
-            key = (ca, cb)
-            kernels[key] = _forbidden_kernel(rq[ca] + rq[cb], grid.delta_exact)
+            threshold = min_sq_steps(rq[ca] + rq[cb], grid.delta_exact)
+            min_sq[(ca, cb)] = min_sq[(cb, ca)] = threshold
 
+    boxes = {cid: bounding_box(masks[cid]) for cid in ids}
+    hulls: dict[int, list[tuple[int, int]]] = {}
     for _ in range(MAX_SWEEPS):
-        changed = False
         new_masks: dict[int, np.ndarray] = {}
         for ck in ids:
-            keep = masks[ck].copy()
+            # copied before its first deletion, so masks stays this sweep's input
+            keep = masks[ck]
             for cc in ids:
                 if cc == ck:
                     continue
-                kernel = kernels[(min(cc, ck), max(cc, ck))]
-                total = int(masks[cc].sum())
-                if total == 0:
-                    return None
-                if kernel.size == 1 and kernel[0, 0] == 0.0:
+                threshold = min_sq[(ck, cc)]
+                if threshold <= 2:
                     continue  # no offset is forbidden: every cell supports
-                hits = signal.oaconvolve(
-                    masks[cc].astype(np.float64), kernel, mode="same"
-                )
-                unsupported = hits >= total - 0.5
-                keep &= ~unsupported
+                # (|x|+1)^2 + 1 <= (|x|+1)^2 + (|y|+1)^2 < threshold bounds
+                # both |x| and |y| of a forbidden offset by reach
+                reach = math.isqrt(threshold - 2) - 1
+                imin, imax, jmin, jmax = boxes[cc]
+                i0, i1 = max(imax - reach, 0), imin + reach
+                j0, j1 = max(jmax - reach, 0), jmin + reach
+                if i0 > i1 or j0 > j1:
+                    continue
+                ii, jj = np.nonzero(keep[i0 : i1 + 1, j0 : j1 + 1])
+                if ii.size == 0:
+                    continue
+                if cc not in hulls:
+                    hulls[cc] = _hull(masks[cc])
+                # narrow to the cells that every vertex so far forbids
+                for vi, vj in hulls[cc]:
+                    di = np.abs(ii - (vi - i0)) + 1
+                    dj = np.abs(jj - (vj - j0)) + 1
+                    forbidden = di * di + dj * dj < threshold
+                    ii, jj = ii[forbidden], jj[forbidden]
+                    if ii.size == 0:
+                        break
+                if ii.size == 0:
+                    continue
+                if keep is masks[ck]:
+                    keep = keep.copy()
+                keep[ii + i0, jj + j0] = False
                 if not keep.any():
                     return None
-            if not np.array_equal(keep, masks[ck]):
-                changed = True
             new_masks[ck] = keep
+        changed = [cid for cid in ids if new_masks[cid] is not masks[cid]]
         masks = new_masks
         if not changed:
             break
+        for cid in changed:
+            boxes[cid] = bounding_box(masks[cid])
+            hulls.pop(cid, None)
 
-    if any(not m.any() for m in masks.values()):
-        return None
     return RegionMap(grid=grid, size=region_map.size, masks=masks)
 
 

@@ -2,15 +2,23 @@
 region-emptiness lower-bound certificate."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from circlepack.geometry import Circle, CircleContainer, Instance, exact
-from circlepack.grid import build_grid
+from circlepack.grid import Grid, build_grid
 from circlepack.reduction import (
+    MAX_SWEEPS,
     RegionMap,
+    _hull,
     annulus_region,
     build_region_map,
     propagate,
@@ -182,3 +190,195 @@ def test_region_pgm_dump(tmp_path):
     # deterministic bytes
     paths2 = write_region_pgm(base, tmp_path / "again", prefix="probe")
     assert paths2[0].read_bytes() == blob
+
+
+def _cells(mask):
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
+
+
+def _mask(shape, cells):
+    mask = np.zeros(shape, dtype=bool)
+    for i, j in cells:
+        mask[i, j] = True
+    return mask
+
+
+def brute_propagate(masks, radii, delta):
+    """Oracle: arc consistency straight from the definition, in plain Python.
+
+    A cell of circle k survives a sweep when every other circle c has a
+    current cell whose farthest corners are at least r_k + r_c apart.  Same
+    sweep rules as ``propagate``: all circles update from the previous
+    sweep, at most MAX_SWEEPS sweeps, None as soon as a region is empty.
+    """
+    ids = sorted(masks)
+    r = dict(zip(ids, radii))
+    cells = {cid: _cells(masks[cid]) for cid in ids}
+    if any(not c for c in cells.values()):
+        return None
+
+    def apart(p, q, r_sum):
+        far_i = (abs(p[0] - q[0]) + 1) * delta
+        far_j = (abs(p[1] - q[1]) + 1) * delta
+        return far_i * far_i + far_j * far_j >= r_sum * r_sum
+
+    for _ in range(MAX_SWEEPS):
+        new = {}
+        for k in ids:
+            new[k] = {
+                p
+                for p in cells[k]
+                if all(
+                    any(apart(p, q, r[k] + r[c]) for q in cells[c])
+                    for c in ids
+                    if c != k
+                )
+            }
+            if not new[k]:
+                return None
+        if new == cells:
+            break
+        cells = new
+    return cells
+
+
+def strip_grid(nx, ny, delta):
+    """A bare nx-by-ny cell grid; propagate reads only its spacing."""
+    return Grid(
+        kind="strip",
+        size=float(nx * delta),
+        delta=float(delta),
+        theta=nx,
+        size_exact=nx * delta,
+        delta_exact=delta,
+        width=float(ny * delta),
+        width_exact=ny * delta,
+        theta_y=ny,
+    )
+
+
+@st.composite
+def region_problems(draw):
+    nx = draw(st.integers(1, 8))
+    ny = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 4))
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    masks = {}
+    for cid in range(1, n + 1):
+        # sparse regions are where cells lose support; dense ones test the hull
+        if draw(st.booleans()):
+            masks[cid] = draw(arrays(bool, (nx, ny), elements=st.booleans()))
+        else:
+            masks[cid] = _mask((nx, ny), draw(st.sets(cell, min_size=1, max_size=6)))
+    delta = draw(st.fractions(Fraction(1, 3), Fraction(2), max_denominator=12))
+    radii = [
+        draw(st.fractions(Fraction(1, 10), Fraction(2), max_denominator=16))
+        for _ in range(n)
+    ]
+    return masks, radii, delta
+
+
+@settings(max_examples=200)
+@given(region_problems())
+def test_propagate_matches_brute_force_oracle(problem):
+    """Random bitmaps (non-convex, disconnected, touching the grid edge) and
+    rational radii and spacing: same surviving cells, or both EMPTY."""
+    masks, radii, delta = problem
+    nx, ny = masks[1].shape
+    before = {cid: m.copy() for cid, m in masks.items()}
+    region_map = RegionMap(grid=strip_grid(nx, ny, delta), size=1.0, masks=masks)
+    got = propagate(region_map, radii)
+    want = brute_propagate(masks, radii, delta)
+    for cid in masks:
+        assert np.array_equal(masks[cid], before[cid])  # input left untouched
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    for cid, cells in want.items():
+        assert got.masks[cid].dtype == bool
+        assert _cells(got.masks[cid]) == cells
+
+
+def _in_hull(point, hull):
+    """Point-in-convex-polygon for counter-clockwise vertices (k >= 1)."""
+    if len(hull) == 1:
+        return point == hull[0]
+    px, py = point
+    for k in range(len(hull)):
+        (ax, ay), (bx, by) = hull[k], hull[(k + 1) % len(hull)]
+        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if cross < 0:
+            return False
+        if len(hull) == 2 and cross == 0:
+            # a segment: the point must also lie between its ends
+            return (
+                min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+            )
+    return True
+
+
+def _check_hull(mask):
+    hull = _hull(mask)
+    assert hull
+    for i, j in hull:
+        assert mask[i, j]
+    assert len(set(hull)) == len(hull)
+    for cell in _cells(mask):
+        assert _in_hull(cell, hull)
+    return set(hull)
+
+
+@pytest.mark.parametrize(
+    "cells, vertices",
+    [
+        ([(3, 4)], {(3, 4)}),
+        ([(2, j) for j in range(1, 6)], {(2, 1), (2, 5)}),
+        ([(i, 0) for i in range(7)], {(0, 0), (6, 0)}),
+        ([(k, k) for k in range(6)], {(0, 0), (5, 5)}),
+        ([(2, 0), (2, 3), (2, 6)], {(2, 0), (2, 6)}),  # gaps inside a row
+        ([(0, 0), (2, 1), (4, 2), (6, 3)], {(0, 0), (6, 3)}),  # collinear, one per row
+        (
+            [(i, j) for i in range(1, 5) for j in range(2, 7)],
+            {(1, 2), (1, 6), (4, 2), (4, 6)},
+        ),
+        ([(0, 0), (1, 1), (2, 2), (2, 0)], {(0, 0), (2, 2), (2, 0)}),
+        (
+            [(i, j) for i in range(7) for j in range(7)],
+            {(0, 0), (0, 6), (6, 0), (6, 6)},
+        ),
+    ],
+    ids=[
+        "cell", "row", "column", "diagonal",
+        "row-gaps", "collinear", "rectangle", "triangle", "full-grid",
+    ],
+)
+def test_hull_edge_cases(cells, vertices):
+    assert _check_hull(_mask((7, 7), cells)) == vertices
+
+
+@given(arrays(bool, st.tuples(st.integers(1, 9), st.integers(1, 9))))
+def test_hull_contains_every_cell(mask):
+    if mask.any():
+        _check_hull(mask)
+
+
+def test_import_does_not_load_scipy_signal():
+    """The package import stays free of scipy.signal (and of scipy at all:
+    only the upper-bound heuristic uses scipy.optimize, imported lazily)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, circlepack; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    loaded = out.stdout.strip()
+    assert "scipy.signal" not in loaded
+    assert loaded == "[]"
