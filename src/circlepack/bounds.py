@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -753,7 +752,7 @@ def compute_bounds(
     """Compute all enabled bounds and join them into a BoundReport.
 
     The upper bound is computed first because the bisection bound and the
-    triple-selection bound both consume it; those two then run in parallel.
+    triple-selection bound both consume it.
     """
     timings: dict[str, float] = {}
 
@@ -771,21 +770,12 @@ def compute_bounds(
 
     value3: float | None = None
     value4: float | None = None
-    run3 = use_lb3
-    run4 = use_lb4 and not instance.is_strip
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        future3 = (
-            pool.submit(
-                _timed, lb3, instance, delta_r, lb3_tolerance, upper_seed=ub
-            )
-            if run3
-            else None
+    if use_lb3:
+        value3, timings["lb3"] = _timed(
+            lb3, instance, delta_r, lb3_tolerance, upper_seed=ub
         )
-        future4 = pool.submit(_timed, lb4, instance, ub) if run4 else None
-        if future3 is not None:
-            value3, timings["lb3"] = future3.result()
-        if future4 is not None:
-            value4, timings["lb4"] = future4.result()
+    if use_lb4 and not instance.is_strip:
+        value4, timings["lb4"] = _timed(lb4, instance, ub)
 
     chosen = max(v for v in (value1, value2, value3, value4) if v is not None)
     return BoundReport(

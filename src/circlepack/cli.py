@@ -34,18 +34,21 @@ from .milp import export_milp
 from .render import render_svg
 
 
+def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--no-lb3", action="store_true", help="skip the region-elimination lower bound")
+    parser.add_argument("--no-lb4", action="store_true", help="skip the idle-area lower bound")
+    parser.add_argument("--best-known", metavar="FILE", default=None, help="reference-value table (name value per line)")
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=0.01, help="relative optimality gap target (default 0.01)")
     parser.add_argument("--delta0", type=float, default=None, help="initial lattice spacing (default: automatic)")
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS", help="wall-clock budget")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for feasibility search")
-    parser.add_argument("--no-lb3", action="store_true", help="skip the region-elimination lower bound")
-    parser.add_argument("--no-lb4", action="store_true", help="skip the idle-area lower bound")
+    _add_bound_flags(parser)
     parser.add_argument("--no-reduction", action="store_true", help="skip region elimination before each model")
     parser.add_argument("--no-prune-area", action="store_true", help="disable the area pruning rule")
     parser.add_argument("--no-prune-farthest", action="store_true", help="disable the farthest-pair pruning rule")
     parser.add_argument("--no-prune-conditional", action="store_true", help="disable the conditional pruning rule")
-    parser.add_argument("--best-known", metavar="FILE", default=None, help="reference-value table (name value per line)")
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized tie-breaking (reserved; recorded in results)"
     )
@@ -71,7 +74,7 @@ def _reference_table(args: argparse.Namespace) -> dict[str, float]:
 
 
 def _run_from_args(instance_file: InstanceFile, args: argparse.Namespace) -> RunResult:
-    limits = DriverLimits(time_seconds=args.time_limit, threads=args.threads)
+    limits = DriverLimits(time_seconds=args.time_limit)
     return run(
         instance_file.instance,
         args.epsilon,
@@ -280,7 +283,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         best = instance_file.best_known
         if best is None:
             best = table.get(instance.name)
-        limits = DriverLimits(time_seconds=args.time_limit, threads=args.threads)
+        limits = DriverLimits(time_seconds=args.time_limit)
         started = time.monotonic()
         # The benchmark measures what the solver certifies on its own, so
         # reference values feed only the comparison columns and the audit.
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="report the four lower bounds and the constructive upper bound")
     p_bounds.add_argument("instance")
     p_bounds.add_argument("--out", default=None, help="also write the JSON report here")
-    _add_solver_flags(p_bounds)
+    _add_bound_flags(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="check a result file against its instance")

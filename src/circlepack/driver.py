@@ -14,8 +14,7 @@ radius or strip length) and shrinks it by trial sizes R = (L + U) / 2:
 
 The run terminates as epsilon-optimal when U - L <= epsilon * U.  Bounds
 move only on certificates, so interrupting at any point still leaves a
-valid bracket.  The driver itself is single-threaded; the feasibility
-search parallelism is delegated through ``DriverLimits.threads``.
+valid bracket.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ class DriverLimits:
     time_seconds: float | None = None
     solve_nodes: int = 50_000_000
     restricted_nodes: int = 400_000
-    threads: int = 1
     refine_cap: int = 6
     max_perturbations: int = 50
     max_theta: int = 4096
@@ -323,7 +321,6 @@ def run(
                 build_problem(instance, grid, "restricted", regions),
                 limits=solve_limits,
                 prune=prune,
-                threads=limits.threads,
             )
             seconds = time.perf_counter() - start
             if restricted.is_feasible:
@@ -347,7 +344,6 @@ def run(
                 build_problem(instance, grid, "relaxed", regions),
                 limits=solve_limits,
                 prune=prune,
-                threads=limits.threads,
             )
             seconds = time.perf_counter() - start
             if relaxed.is_infeasible:

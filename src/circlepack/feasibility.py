@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal, Mapping
@@ -41,11 +40,12 @@ from .grid import (
     CandidateSet,
     Grid,
     Mode,
-    SeparationFrontier,
     bounding_box,
+    forbidden,
+    forbidden_reach,
+    min_sq_steps,
     relaxed_candidates,
     restricted_candidates,
-    separation_frontier,
 )
 from .reduction import RegionMap
 
@@ -84,8 +84,8 @@ class FeasibilityProblem:
     ``domains`` maps circle id to its candidate bitmap (lattice points in
     restricted mode, cells in relaxed mode) after intersecting the mode's
     candidate set with optional reduced regions and symmetry restrictions.
-    ``frontiers`` holds the exact pairwise separation thresholds keyed by
-    (low id, high id).
+    ``min_sq`` holds the exact pairwise thresholds of ``grid.forbidden``
+    (``grid.min_sq_steps``) keyed by (low id, high id).
     """
 
     instance: Instance
@@ -93,8 +93,7 @@ class FeasibilityProblem:
     mode: Mode
     domains: Mapping[int, CandidateSet]
     radii: tuple[float, ...]
-    frontiers: Mapping[tuple[int, int], SeparationFrontier]
-    symmetry: bool = True
+    min_sq: Mapping[tuple[int, int], int]
 
     @property
     def trivially_infeasible(self) -> bool:
@@ -235,20 +234,20 @@ def build_problem(
             mask &= sym[circle.id]
         domains[circle.id] = CandidateSet(circle.id, mode, mask)
 
-    frontiers: dict[tuple[int, int], SeparationFrontier] = {}
-    for a, b in combinations(range(1, instance.n + 1), 2):
-        r_sum = exact(instance.radii[a - 1]) + exact(instance.radii[b - 1])
-        bound = max(grid.max_index, math.ceil(r_sum / grid.delta_exact) + 1)
-        frontiers[(a, b)] = separation_frontier(r_sum, grid.delta_exact, mode, bound)
-
+    min_sq = {
+        (a, b): min_sq_steps(
+            exact(instance.radii[a - 1]) + exact(instance.radii[b - 1]),
+            grid.delta_exact,
+        )
+        for a, b in combinations(range(1, instance.n + 1), 2)
+    }
     return FeasibilityProblem(
         instance=instance,
         grid=grid,
         mode=mode,
         domains=domains,
         radii=instance.radii,
-        frontiers=frontiers,
-        symmetry=symmetry,
+        min_sq=min_sq,
     )
 
 
@@ -269,10 +268,10 @@ def _assignment_satisfies(
         mask = problem.domains[cid].mask
         if not (0 <= i < mask.shape[0] and 0 <= j < mask.shape[1] and mask[i, j]):
             return False
-    for (a, b), frontier in problem.frontiers.items():
+    for (a, b), threshold in problem.min_sq.items():
         ia, ja = assignment[a]
         ib, jb = assignment[b]
-        if not frontier.satisfies_direct(ia - ib, ja - jb):
+        if forbidden(ia - ib, ja - jb, threshold, problem.mode):
             return False
     return True
 
@@ -298,7 +297,6 @@ class _Engine:
         problem: FeasibilityProblem,
         limits: SolveLimits,
         prune: PruneConfig,
-        first_filter: list[tuple[int, int]] | None = None,
     ) -> None:
         self.problem = problem
         self.limits = limits
@@ -309,16 +307,11 @@ class _Engine:
         self.n = n
         # circle ids are 1..n in non-increasing radius order
         self.masks = [problem.domains[cid].mask.copy() for cid in range(1, n + 1)]
-        if first_filter is not None:
-            keep = np.zeros_like(self.masks[0])
-            for i, j in first_filter:
-                keep[i, j] = True
-            self.masks[0] &= keep
 
         self.min_sq = [[0] * n for _ in range(n)]
-        for (a, b), frontier in problem.frontiers.items():
-            self.min_sq[a - 1][b - 1] = frontier.min_sq_steps
-            self.min_sq[b - 1][a - 1] = frontier.min_sq_steps
+        for (a, b), threshold in problem.min_sq.items():
+            self.min_sq[a - 1][b - 1] = threshold
+            self.min_sq[b - 1][a - 1] = threshold
 
         radii = problem.radii
         if self.mode == "restricted":
@@ -376,25 +369,11 @@ class _Engine:
         )
 
     def _build_kernel(self, min_sq: int) -> tuple[np.ndarray, int] | None:
-        if self.mode == "restricted":
-            m = math.isqrt(max(0, min_sq - 1))
-        else:
-            m = math.isqrt(max(0, min_sq - 1)) - 1
+        m = forbidden_reach(min_sq, self.mode)
         if m < 0:
             return None
         offs = np.arange(-m, m + 1)
-        if self.mode == "restricted":
-            d2 = offs[:, None] ** 2 + offs[None, :] ** 2
-            return (d2 < min_sq), m
-        a = (np.abs(offs) + 1) ** 2
-        return ((a[:, None] + a[None, :]) < min_sq), m
-
-    def _forbidden(self, a: int, b: int, di: int, dj: int) -> bool:
-        """True when the offset violates the pair's separation threshold."""
-        di, dj = abs(di), abs(dj)
-        if self.mode == "restricted":
-            return di * di + dj * dj < self.min_sq[a][b]
-        return (di + 1) ** 2 + (dj + 1) ** 2 < self.min_sq[a][b]
+        return forbidden(offs[:, None], offs[None, :], min_sq, self.mode), m
 
     def _tick(self, count: int = 1) -> None:
         self.nodes += count
@@ -430,10 +409,7 @@ class _Engine:
             return True
         max_di = max(box_a[1] - box_b[0], box_b[1] - box_a[0])
         max_dj = max(box_a[3] - box_b[2], box_b[3] - box_a[2])
-        min_sq = self.min_sq[t][t + 1]
-        if self.mode == "restricted":
-            return max_di * max_di + max_dj * max_dj < min_sq
-        return (max_di + 1) ** 2 + (max_dj + 1) ** 2 < min_sq
+        return forbidden(max_di, max_dj, self.min_sq[t][t + 1], self.mode)
 
     def _without_forbidden(
         self, mask: np.ndarray, pair: tuple[int, int], i: int, j: int
@@ -458,7 +434,7 @@ class _Engine:
     def _conflicts(self, t: int, i: int, j: int) -> bool:
         for u in range(t):
             pi, pj = self.positions[u]
-            if self._forbidden(u, t, i - pi, j - pj):
+            if forbidden(i - pi, j - pj, self.min_sq[u][t], self.mode):
                 return True
         return False
 
@@ -575,77 +551,16 @@ class _Engine:
         )
 
 
-def _solve_chunk(
-    problem: FeasibilityProblem,
-    chunk: list[tuple[int, int]],
-    limits: SolveLimits,
-    prune: PruneConfig,
-) -> SolveOutcome:
-    """Worker entry point: search with the first circle pinned to a chunk."""
-    return _Engine(problem, limits, prune, first_filter=chunk).run()
-
-
 def solve(
     problem: FeasibilityProblem,
     limits: SolveLimits | None = None,
     prune: PruneConfig | None = None,
-    threads: int = 1,
 ) -> SolveOutcome:
     """Decide one feasibility problem within the given budget.
 
-    Single-threaded search is deterministic.  With ``threads > 1`` the
-    first circle's candidates are split round-robin into chunks pulled
-    from a process pool; a feasible answer from any worker is re-verified
-    against the problem before being reported, infeasible requires every
-    chunk to be exhausted, and any chunk hitting its limit downgrades the
-    combined answer to unknown.
+    The search is deterministic: the same problem, limits and pruning give
+    the same status, assignment and node count.
     """
-    limits = limits or SolveLimits()
-    prune = prune or PruneConfig()
-    start = time.monotonic()
     if problem.trivially_infeasible:
         return SolveOutcome(status="infeasible", nodes=0, elapsed=0.0)
-    if threads <= 1:
-        return _Engine(problem, limits, prune).run()
-
-    probe = _Engine(problem, limits, prune)
-    order = probe._ordered(0, probe.masks[0])
-    chunk_count = max(1, min(threads * 4, len(order)))
-    chunks = [order[k::chunk_count] for k in range(chunk_count)]
-
-    total_nodes = 0
-    unknown_reason: str | None = None
-    pool = ProcessPoolExecutor(max_workers=threads)
-    try:
-        pending = {
-            pool.submit(_solve_chunk, problem, chunk, limits, prune)
-            for chunk in chunks
-        }
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                outcome = fut.result()
-                total_nodes += outcome.nodes
-                if outcome.is_feasible:
-                    if not _assignment_satisfies(problem, outcome.assignment):
-                        raise RuntimeError(
-                            "internal error: worker assignment failed re-verification"
-                        )
-                    for other in pending:
-                        other.cancel()
-                    return SolveOutcome(
-                        status="feasible",
-                        assignment=outcome.assignment,
-                        nodes=total_nodes,
-                        elapsed=time.monotonic() - start,
-                    )
-                if outcome.is_unknown and unknown_reason is None:
-                    unknown_reason = outcome.reason
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    elapsed = time.monotonic() - start
-    if unknown_reason is not None:
-        return SolveOutcome(
-            status="unknown", reason=unknown_reason, nodes=total_nodes, elapsed=elapsed
-        )
-    return SolveOutcome(status="infeasible", nodes=total_nodes, elapsed=elapsed)
+    return _Engine(problem, limits or SolveLimits(), prune or PruneConfig()).run()

@@ -1,4 +1,4 @@
-"""Square-cell discretization of containers, candidate sets, separation frontiers.
+"""Square-cell discretization of containers, candidate sets, separation tests.
 
 The container is covered by a uniform square grid of cell side ``delta``.
 For a disc container of radius ``size``, ``delta`` is chosen so that
@@ -11,7 +11,8 @@ index counts.
 Every geometric predicate on the lattice is reduced to an integer comparison
 against a threshold computed once in exact rational arithmetic from the
 (float) radii and spacing, so candidate membership and separation tests are
-free of rounding error.  Two families of tests exist:
+free of rounding error.  The pairwise separation test is ``forbidden``, one
+inequality for both families of tests:
 
 * restricted — centers sit exactly on lattice points; any assignment that
   passes is a genuine packing (upper-bound certificates);
@@ -40,6 +41,8 @@ __all__ = [
     "bounding_box",
     "build_grid",
     "build_strip_grid",
+    "forbidden",
+    "forbidden_reach",
     "grid_for_instance",
     "min_sq_steps",
     "restricted_candidates",
@@ -103,11 +106,6 @@ class Grid:
         if self.kind == "circle":
             return 2 * self.theta
         return self.theta_y
-
-    @property
-    def index_count(self) -> int:
-        """Lattice indices per axis (disc: 2*theta + 1)."""
-        return self.points_x
 
     @property
     def max_index(self) -> int:
@@ -351,23 +349,14 @@ class SeparationFrontier:
     """Dominance-minimal integer offsets certifying pairwise non-overlap.
 
     A pair of centers with lattice offset (di, dj) is separated iff some
-    frontier member (u1, u2) has |di| >= u1 and |dj| >= u2.  ``min_sq_steps``
-    is the exact integer threshold: restricted mode requires
-    di^2 + dj^2 >= min_sq_steps, relaxed mode (farthest corners of the two
-    cells) requires (|di|+1)^2 + (|dj|+1)^2 >= min_sq_steps.
+    frontier member (u1, u2) has |di| >= u1 and |dj| >= u2, that is iff
+    ``forbidden(di, dj, min_sq_steps, mode)`` is False.  Only the LP export
+    needs the frontier form; the solvers test ``forbidden`` directly.
     """
 
     pairs: tuple[tuple[int, int], ...]
     mode: Mode
-    r_sum_over_delta: float
     min_sq_steps: int
-
-    def satisfies_direct(self, di: int, dj: int) -> bool:
-        """The squared-distance inequality, bypassing the frontier."""
-        a, b = abs(di), abs(dj)
-        if self.mode == "restricted":
-            return a * a + b * b >= self.min_sq_steps
-        return (a + 1) ** 2 + (b + 1) ** 2 >= self.min_sq_steps
 
 
 def _ceil_isqrt(value: int) -> int:
@@ -382,6 +371,33 @@ def min_sq_steps(r_sum: float | Fraction, delta: float | Fraction) -> int:
     """Exact pair threshold ceil((r_sum / delta)^2), in squared lattice steps."""
     ratio = exact(r_sum) / exact(delta)
     return math.ceil(ratio * ratio)
+
+
+def forbidden(di, dj, min_sq: int, mode: Mode):
+    """True where lattice offset (di, dj) violates a pair's threshold.
+
+    Restricted mode compares point offsets, di^2 + dj^2 < min_sq; relaxed
+    mode compares the farthest corners of two cells,
+    (|di|+1)^2 + (|dj|+1)^2 < min_sq.  ``di`` and ``dj`` may be ints or
+    integer numpy arrays (elementwise result).
+    """
+    a, b = abs(di), abs(dj)
+    if mode == "relaxed":
+        a, b = a + 1, b + 1
+    return a * a + b * b < min_sq
+
+
+def forbidden_reach(min_sq: int, mode: Mode) -> int:
+    """Largest |offset| along one axis of any forbidden offset, or -1 when
+    ``forbidden`` holds for no offset at all.
+
+    The other axis contributes at least ``s^2`` (s = 0 restricted, 1
+    relaxed), so a forbidden offset has (|x| + s)^2 <= min_sq - 1 - s^2,
+    and the offset (x, 0) attains the bound.
+    """
+    s = 0 if mode == "restricted" else 1
+    top = min_sq - 1 - s * s
+    return math.isqrt(top) - s if top >= s * s else -1
 
 
 def separation_frontier(
@@ -433,12 +449,7 @@ def separation_frontier(
 
     if any(u1 > bound or u2 > bound for u1, u2 in pairs):
         raise ValueError("frontier exceeds the stated index bound")
-    return SeparationFrontier(
-        pairs=tuple(pairs),
-        mode=mode,
-        r_sum_over_delta=float(ratio),
-        min_sq_steps=min_sq,
-    )
+    return SeparationFrontier(pairs=tuple(pairs), mode=mode, min_sq_steps=min_sq)
 
 
 def sep_holds(di: int, dj: int, frontier: SeparationFrontier) -> bool:

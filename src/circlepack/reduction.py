@@ -9,16 +9,17 @@ circle under the farthest-corner separation test (the relaxed predicate, so
 deletions never remove a truly feasible center).
 
 The support test is exact integer arithmetic.  A pair of circles with
-threshold ``min_sq`` forbids the cell offsets ``(x, y)`` with
-``(|x|+1)^2 + (|y|+1)^2 < min_sq``.  That is the set of lattice points in a
-convex region of the plane, because ``(|x|+1)^2 + (|y|+1)^2`` is a convex
-function.  So a cell ``p`` has no support from circle ``c`` exactly when
+threshold ``min_sq`` forbids the cell offsets ``(x, y)`` for which
+``grid.forbidden`` holds in relaxed mode, ``(|x|+1)^2 + (|y|+1)^2 < min_sq``.
+That is the set of lattice points in a convex region of the plane, because
+``(|x|+1)^2 + (|y|+1)^2`` is a convex function.  So a cell ``p`` has no support from circle ``c`` exactly when
 every vertex of the convex hull of ``c``'s surviving cells lies at a
 forbidden offset from ``p``: then ``p`` minus the whole hull lies in the
 convex region, and with it every surviving cell of ``c``.  The vertices are
 themselves surviving cells, so the converse holds too.  Such a ``p`` is also
-within the pair's reach of every vertex along each axis, which confines the
-test to a box that is empty unless ``c``'s region is small.
+within the pair's reach (``grid.forbidden_reach``) of every vertex along
+each axis, which confines the test to a box that is empty unless ``c``'s
+region is small.
 
 If any circle's region becomes empty, no continuous packing exists at the
 probed container size — an exact lower-bound certificate used both for
@@ -40,6 +41,8 @@ from .grid import (
     Grid,
     _nearest_steps,
     bounding_box,
+    forbidden,
+    forbidden_reach,
     grid_for_instance,
     min_sq_steps,
     relaxed_candidates,
@@ -242,11 +245,9 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
                 if cc == ck:
                     continue
                 threshold = min_sq[(ck, cc)]
-                if threshold <= 2:
+                reach = forbidden_reach(threshold, "relaxed")
+                if reach < 0:
                     continue  # no offset is forbidden: every cell supports
-                # (|x|+1)^2 + 1 <= (|x|+1)^2 + (|y|+1)^2 < threshold bounds
-                # both |x| and |y| of a forbidden offset by reach
-                reach = math.isqrt(threshold - 2) - 1
                 imin, imax, jmin, jmax = boxes[cc]
                 i0, i1 = max(imax - reach, 0), imin + reach
                 j0, j1 = max(jmax - reach, 0), jmin + reach
@@ -259,10 +260,8 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
                     hulls[cc] = _hull(masks[cc])
                 # narrow to the cells that every vertex so far forbids
                 for vi, vj in hulls[cc]:
-                    di = np.abs(ii - (vi - i0)) + 1
-                    dj = np.abs(jj - (vj - j0)) + 1
-                    forbidden = di * di + dj * dj < threshold
-                    ii, jj = ii[forbidden], jj[forbidden]
+                    hit = forbidden(ii - (vi - i0), jj - (vj - j0), threshold, "relaxed")
+                    ii, jj = ii[hit], jj[hit]
                     if ii.size == 0:
                         break
                 if ii.size == 0:

@@ -29,7 +29,7 @@ from circlepack.feasibility import (
 )
 from circlepack.bounds import idle_area_triple
 from circlepack.geometry import Instance, StripContainer, exact, verify_placement
-from circlepack.grid import grid_for_instance, sep_holds
+from circlepack.grid import forbidden, grid_for_instance, sep_holds, separation_frontier
 from circlepack.reduction import build_region_map, propagate
 
 
@@ -265,9 +265,16 @@ class TestSolveAgainstOracle:
             if not outcome.is_feasible:
                 continue
             checked += 1
-            for (a, b), frontier in problem.frontiers.items():
+            for (a, b), min_sq in problem.min_sq.items():
                 ia, ja = outcome.assignment[a]
                 ib, jb = outcome.assignment[b]
+                assert not forbidden(ia - ib, ja - jb, min_sq, "restricted")
+                r_sum = instance.radii[a - 1] + instance.radii[b - 1]
+                bound = grid.max_index + math.ceil(r_sum / grid.delta) + 2
+                frontier = separation_frontier(
+                    r_sum, grid.delta_exact, "restricted", bound
+                )
+                assert frontier.min_sq_steps == min_sq
                 assert sep_holds(ia - ib, ja - jb, frontier)
             for cid, (i, j) in outcome.assignment.items():
                 assert problem.domains[cid].mask[i, j]
@@ -337,9 +344,11 @@ class TestSolveBehaviour:
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
         grid = grid_for_instance(instance, 1.8, 0.1)
         problem = build_problem(instance, grid, "restricted")
-        outcome = solve(problem, limits=SolveLimits(max_nodes=1))
+        max_nodes = 1
+        outcome = solve(problem, limits=SolveLimits(max_nodes=max_nodes))
         assert outcome.is_unknown
         assert outcome.reason == "node-limit"
+        assert outcome.nodes <= max_nodes + 1
 
     def test_time_limit_reports_unknown(self):
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
@@ -349,13 +358,13 @@ class TestSolveBehaviour:
         assert outcome.is_unknown
         assert outcome.reason == "timeout"
 
-    def test_parallel_matches_single_thread_status(self):
+    def test_fine_grid_feasible_coarse_grid_infeasible(self):
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
         fine = grid_for_instance(instance, 1.8, 0.1)
         coarse = grid_for_instance(instance, 1.8, 0.3)
         for grid, expected in ((fine, "feasible"), (coarse, "infeasible")):
             problem = build_problem(instance, grid, "restricted")
-            outcome = solve(problem, threads=2)
+            outcome = solve(problem)
             assert outcome.status == expected
             if outcome.is_feasible:
                 placement = assignment_to_placement(grid, outcome.assignment)

@@ -302,6 +302,13 @@ class TestSolveCommand:
         assert code == 0
         assert read_result(out)["upper"] <= 7.0
 
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+        instance = _write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestBoundsCommand:
     def test_pair_bounds_json(self, tmp_path, capsys):
@@ -324,6 +331,13 @@ class TestBoundsCommand:
         payload = json.loads(captured.out)
         assert payload["lb2"] == pytest.approx(math.sqrt(20.0))
         assert payload["lb3"] is None and payload["lb4"] is None
+
+    def test_solver_only_flags_are_rejected(self, tmp_path, capsys):
+        instance = _write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(instance), "--time-limit", "1"])
+        assert exc.value.code == 2
+        assert "--time-limit" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

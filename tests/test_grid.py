@@ -1,4 +1,4 @@
-"""Tests for grid construction, candidate sets, and separation frontiers."""
+"""Tests for grid construction, candidate sets, and separation tests."""
 
 import math
 from fractions import Fraction
@@ -12,6 +12,8 @@ from circlepack.geometry import Circle, CircleContainer, StripContainer, exact
 from circlepack.grid import (
     build_grid,
     build_strip_grid,
+    forbidden,
+    forbidden_reach,
     relaxed_candidates,
     restricted_candidates,
     sep_holds,
@@ -26,7 +28,7 @@ def test_build_grid_snaps_exact_divisions():
     grid = build_grid(1.8, 0.3, 0.5)
     assert grid.theta == 6
     assert grid.delta == 0.3
-    assert grid.index_count == 13
+    assert grid.points_x == 13
     assert grid.bit_width == 4
     assert grid.theta * grid.delta_exact == grid.size_exact
 
@@ -212,7 +214,7 @@ def test_sep_holds_examples():
     mode=st.sampled_from(["restricted", "relaxed"]),
 )
 def test_frontier_matches_direct_inequality(r_sum, delta, mode):
-    """sep_holds must agree with the squared-distance predicate everywhere."""
+    """sep_holds must agree with the forbidden-offset predicate everywhere."""
     ratio = r_sum / delta
     if ratio > 24:
         return
@@ -220,7 +222,33 @@ def test_frontier_matches_direct_inequality(r_sum, delta, mode):
     fr = separation_frontier(r_sum, delta, mode, bound=bound)
     for di in range(-bound - 1, bound + 2):
         for dj in range(-bound - 1, bound + 2):
-            assert sep_holds(di, dj, fr) == fr.satisfies_direct(di, dj), (di, dj)
+            assert sep_holds(di, dj, fr) == (
+                not forbidden(di, dj, fr.min_sq_steps, mode)
+            ), (di, dj)
+
+
+@pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+def test_forbidden_reach_matches_brute_force(mode):
+    """Every forbidden offset lies within the reach on both axes, some
+    forbidden offset attains it, and -1 means nothing is forbidden."""
+    span = range(-20, 21)
+    for min_sq in range(301):
+        reach = forbidden_reach(min_sq, mode)
+        hits = [(x, y) for x in span for y in span if forbidden(x, y, min_sq, mode)]
+        if reach < 0:
+            assert reach == -1 and not hits, min_sq
+            continue
+        assert hits, min_sq
+        assert max(max(abs(x), abs(y)) for x, y in hits) == reach, min_sq
+
+
+def test_forbidden_is_elementwise_on_arrays():
+    offs = np.arange(-6, 7)
+    for mode in ("restricted", "relaxed"):
+        grid_result = forbidden(offs[:, None], offs[None, :], 17, mode)
+        for a, x in enumerate(offs.tolist()):
+            for b, y in enumerate(offs.tolist()):
+                assert bool(grid_result[a, b]) == forbidden(x, y, 17, mode)
 
 
 @given(

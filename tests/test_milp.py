@@ -513,4 +513,4 @@ def test_variables_declared_once_and_used(tmp_path):
         # every candidate has a selector and every pair a frontier block
         for cid in (1, 2):
             assert len(encoding.selectors[cid]) == problem.domains[cid].count
-        assert set(encoding.frontier_selectors) == set(problem.frontiers)
+        assert set(encoding.frontier_selectors) == set(problem.min_sq)
