@@ -78,6 +78,7 @@ class IterationRecord:
     ``model`` is "region", "restricted", or "relaxed"; ``outcome`` is
     "empty"/"nonempty" for region propagation and the solver status
     otherwise.  ``lower``/``upper`` snapshot the bracket after the event.
+    ``nodes`` is the solver's search-node count (0 for region events).
     """
 
     trial: int
@@ -88,6 +89,7 @@ class IterationRecord:
     seconds: float
     lower: float
     upper: float
+    nodes: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -99,6 +101,7 @@ class IterationRecord:
             "seconds": self.seconds,
             "lower": self.lower,
             "upper": self.upper,
+            "nodes": self.nodes,
         }
 
 
@@ -245,7 +248,7 @@ def run(
     status: Status | None = None
     pending_size: float | None = None
 
-    def record(model: str, outcome: str, seconds: float) -> None:
+    def record(model: str, outcome: str, seconds: float, nodes: int = 0) -> None:
         state.log.append(
             IterationRecord(
                 trial=state.trials,
@@ -256,6 +259,7 @@ def run(
                 seconds=seconds,
                 lower=state.lower,
                 upper=state.upper,
+                nodes=nodes,
             )
         )
 
@@ -329,9 +333,9 @@ def run(
                 )
                 state.upper = size
                 state.incumbent = placement
-                record("restricted", restricted.status, seconds)
+                record("restricted", restricted.status, seconds, restricted.nodes)
                 break
-            record("restricted", restricted.status, seconds)
+            record("restricted", restricted.status, seconds, restricted.nodes)
             if restricted.is_unknown and out_of_time():
                 status = "TimeLimit"
                 break
@@ -348,9 +352,9 @@ def run(
             seconds = time.perf_counter() - start
             if relaxed.is_infeasible:
                 state.lower = size
-                record("relaxed", relaxed.status, seconds)
+                record("relaxed", relaxed.status, seconds, relaxed.nodes)
                 break
-            record("relaxed", relaxed.status, seconds)
+            record("relaxed", relaxed.status, seconds, relaxed.nodes)
             if relaxed.is_unknown and out_of_time():
                 status = "TimeLimit"
                 break

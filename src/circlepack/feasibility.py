@@ -22,6 +22,17 @@ decreasing-radius order with three individually toggleable pruning rules:
 All pruning is conservative: toggling rules changes the search effort,
 never the outcome.  The equivalent binary linear program can be written
 to an LP file by the milp module.
+
+A search node is kept cheap without changing any search decision.  Domain
+masks are never written in place: conditional elimination makes a cleared
+copy, so adjacent circles with equal domains (equal circles, mostly) share
+one array, and a circle whose mask and pair threshold match its
+predecessor's takes the predecessor's cleared copy; a node copies once per
+distinct (domain, threshold) rather than once per unassigned circle.  Each
+mask carries its bounding box, which is the emptiness test, the input of
+the farthest-pair rule, and the window in which a cleared copy's box and
+the candidate order are computed.  The allowed offsets of each pair
+threshold are stored once.
 """
 
 from __future__ import annotations
@@ -276,6 +287,10 @@ def _assignment_satisfies(
     return True
 
 
+# (imin, imax, jmin, jmax) of a mask's candidates, as grid.bounding_box
+_Box = tuple[int, int, int, int]
+
+
 class _LimitHit(Exception):
     def __init__(self, reason: str) -> None:
         self.reason = reason
@@ -305,8 +320,17 @@ class _Engine:
         grid = problem.grid
         n = problem.instance.n
         self.n = n
-        # circle ids are 1..n in non-increasing radius order
-        self.masks = [problem.domains[cid].mask.copy() for cid in range(1, n + 1)]
+        # circle ids are 1..n in non-increasing radius order.  No mask is
+        # ever written in place, so adjacent circles with equal domains
+        # share one array; ``boxes`` holds each mask's bounding box (None
+        # when empty) and is saved and restored with ``masks``
+        self.masks: list[np.ndarray] = []
+        for cid in range(1, n + 1):
+            mask = problem.domains[cid].mask
+            if self.masks and np.array_equal(self.masks[-1], mask):
+                mask = self.masks[-1]
+            self.masks.append(mask)
+        self.boxes = [bounding_box(mask) for mask in self.masks]
 
         self.min_sq = [[0] * n for _ in range(n)]
         for (a, b), threshold in problem.min_sq.items():
@@ -341,11 +365,12 @@ class _Engine:
                 if sq.denominator == 1:
                     self.tangent_sq[(a, b)] = int(sq)
 
-        # forbidden-offset windows per pair, used both for conditional
-        # deletion and for the vectorized last-level scan
-        self.kernels: dict[tuple[int, int], tuple[np.ndarray, int] | None] = {}
-        for a, b in combinations(range(n), 2):
-            self.kernels[(a, b)] = self._build_kernel(self.min_sq[a][b])
+        # allowed-offset windows per pair threshold, used both for
+        # conditional deletion and for the vectorized last-level scan
+        self.windows = {
+            threshold: self._build_window(threshold)
+            for threshold in set(problem.min_sq.values())
+        }
 
         if grid.kind == "circle":
             ref = (float(grid.theta), float(grid.theta))
@@ -368,12 +393,12 @@ class _Engine:
             else None
         )
 
-    def _build_kernel(self, min_sq: int) -> tuple[np.ndarray, int] | None:
+    def _build_window(self, min_sq: int) -> tuple[np.ndarray, int] | None:
         m = forbidden_reach(min_sq, self.mode)
         if m < 0:
             return None
         offs = np.arange(-m, m + 1)
-        return forbidden(offs[:, None], offs[None, :], min_sq, self.mode), m
+        return ~forbidden(offs[:, None], offs[None, :], min_sq, self.mode), m
 
     def _tick(self, count: int = 1) -> None:
         self.nodes += count
@@ -384,10 +409,11 @@ class _Engine:
             if time.monotonic() > self._deadline:
                 raise _LimitHit("timeout")
 
-    def _ordered(self, t: int, mask: np.ndarray) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(mask)
-        if ii.size == 0:
-            return []
+    def _ordered(self, t: int, mask: np.ndarray, box: _Box) -> list[tuple[int, int]]:
+        i0, i1, j0, j1 = box
+        ii, jj = np.nonzero(mask[i0 : i1 + 1, j0 : j1 + 1])
+        ii += i0
+        jj += j0
         if t == 0:
             key = (ii - self.center_ref[0]) ** 2 + (jj - self.center_ref[1]) ** 2
         else:
@@ -403,8 +429,7 @@ class _Engine:
     def _farthest_prunes(self, t: int) -> bool:
         """Even the farthest candidates of the two largest unassigned
         circles are too close (bounding-box upper bound on distance)."""
-        box_a = bounding_box(self.masks[t])
-        box_b = bounding_box(self.masks[t + 1])
+        box_a, box_b = self.boxes[t], self.boxes[t + 1]
         if box_a is None or box_b is None:
             return True
         max_di = max(box_a[1] - box_b[0], box_b[1] - box_a[0])
@@ -412,24 +437,32 @@ class _Engine:
         return forbidden(max_di, max_dj, self.min_sq[t][t + 1], self.mode)
 
     def _without_forbidden(
-        self, mask: np.ndarray, pair: tuple[int, int], i: int, j: int
-    ) -> np.ndarray | None:
-        """Copy of ``mask`` with cells conflicting with (i, j) cleared, or
-        None when the kernel window misses the mask entirely."""
-        entry = self.kernels.get((min(pair), max(pair)))
+        self, mask: np.ndarray, box: _Box, min_sq: int, i: int, j: int
+    ) -> tuple[np.ndarray, _Box | None] | None:
+        """Copy of ``mask`` (whose box is ``box``) with the cells that
+        conflict with (i, j) cleared, and the copy's box; None when the
+        forbidden window misses the box, so nothing would be cleared.
+
+        The copy is a subset of ``mask``, so its box lies inside ``box``
+        and is searched for there only.
+        """
+        entry = self.windows[min_sq]
         if entry is None:
             return None
-        kernel, m = entry
-        nx, ny = mask.shape
-        r0, r1 = max(0, i - m), min(nx - 1, i + m)
-        c0, c1 = max(0, j - m), min(ny - 1, j + m)
+        allowed, m = entry
+        i0, i1, j0, j1 = box
+        r0, r1 = max(i0, i - m), min(i1, i + m)
+        c0, c1 = max(j0, j - m), min(j1, j + m)
         if r0 > r1 or c0 > c1:
             return None
         out = mask.copy()
-        out[r0 : r1 + 1, c0 : c1 + 1] &= ~kernel[
+        out[r0 : r1 + 1, c0 : c1 + 1] &= allowed[
             r0 - i + m : r1 - i + m + 1, c0 - j + m : c1 - j + m + 1
         ]
-        return out
+        inner = bounding_box(out[i0 : i1 + 1, j0 : j1 + 1])
+        if inner is None:
+            return out, None
+        return out, (inner[0] + i0, inner[1] + i0, inner[2] + j0, inner[3] + j0)
 
     def _conflicts(self, t: int, i: int, j: int) -> bool:
         for u in range(t):
@@ -474,19 +507,50 @@ class _Engine:
     def _leaf(self, t: int) -> bool:
         """Vectorized last level: any surviving candidate completes the
         packing once cleared against every assigned circle."""
-        mask = self.masks[t]
+        mask, box = self.masks[t], self.boxes[t]
         if not self.prune.conditional:
             for u in range(t):
+                if box is None:
+                    break
                 pi, pj = self.positions[u]
-                cleared = self._without_forbidden(mask, (u, t), pi, pj)
+                cleared = self._without_forbidden(
+                    mask, box, self.min_sq[u][t], pi, pj
+                )
                 if cleared is not None:
-                    mask = cleared
-        self._tick(max(1, int(mask.sum())))
-        if not mask.any():
+                    mask, box = cleared
+        if box is None:
+            self._tick()
             return False
-        choice = self._ordered(t, mask)[0]
-        self.positions[t] = choice
+        i0, i1, j0, j1 = box
+        self._tick(max(1, int(np.count_nonzero(mask[i0 : i1 + 1, j0 : j1 + 1]))))
+        self.positions[t] = self._ordered(t, mask, box)[0]
         return True
+
+    def _eliminate(
+        self, t: int, i: int, j: int
+    ) -> tuple[list[tuple[int, np.ndarray, _Box]], bool]:
+        """Conditional elimination after placing circle ``t`` at (i, j):
+        clear the conflicting cells from the domains of circles t+1..n-1.
+
+        Returns the replaced (circle, mask, box) entries, for the caller to
+        put back, and whether some domain emptied (elimination stops there).
+        """
+        masks, boxes, min_sq = self.masks, self.boxes, self.min_sq[t]
+        saved = []
+        source = threshold = cleared = None
+        for k in range(t + 1, self.n):
+            # a circle that shares circle k - 1's domain and threshold
+            # shares its cleared domain too
+            if masks[k] is not source or min_sq[k] != threshold:
+                source, threshold = masks[k], min_sq[k]
+                cleared = self._without_forbidden(source, boxes[k], threshold, i, j)
+            if cleared is None:
+                continue
+            saved.append((k, masks[k], boxes[k]))
+            masks[k], boxes[k] = cleared
+            if boxes[k] is None:
+                return saved, True
+        return saved, False
 
     def _dfs(self, t: int) -> bool:
         if self.prune.area and self._area_prunes(t):
@@ -498,30 +562,22 @@ class _Engine:
         if t == self.n - 1:
             return self._leaf(t)
 
-        for i, j in self._ordered(t, self.masks[t]):
+        masks, boxes = self.masks, self.boxes
+        for i, j in self._ordered(t, masks[t], boxes[t]):
             self._tick()
             if not self.prune.conditional and self._conflicts(t, i, j):
                 continue
             self.positions[t] = (i, j)
-            saved: list[tuple[int, np.ndarray]] = []
-            dead = False
+            saved, dead = ([], False)
             if self.prune.conditional:
-                for k in range(t + 1, self.n):
-                    cleared = self._without_forbidden(self.masks[k], (t, k), i, j)
-                    if cleared is None:
-                        continue
-                    saved.append((k, self.masks[k]))
-                    self.masks[k] = cleared
-                    if not cleared.any():
-                        dead = True
-                        break
+                saved, dead = self._eliminate(t, i, j)
             idle_before = self.idle
             if self.prune.area:
                 self.idle += self._new_idle(t, i, j)
             found = not dead and self._dfs(t + 1)
             self.idle = idle_before
-            for k, old in saved:
-                self.masks[k] = old
+            for k, mask, box in saved:
+                masks[k], boxes[k] = mask, box
             if found:
                 return True
             self.positions[t] = None

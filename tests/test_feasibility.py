@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circlepack
 from circlepack.feasibility import (
     FeasibilityProblem,
     PruneConfig,
@@ -28,8 +30,15 @@ from circlepack.feasibility import (
     solve,
 )
 from circlepack.bounds import idle_area_triple
+from circlepack.files import read_instance
 from circlepack.geometry import Instance, StripContainer, exact, verify_placement
-from circlepack.grid import forbidden, grid_for_instance, sep_holds, separation_frontier
+from circlepack.grid import (
+    bounding_box,
+    forbidden,
+    grid_for_instance,
+    sep_holds,
+    separation_frontier,
+)
 from circlepack.reduction import build_region_map, propagate
 
 
@@ -96,6 +105,35 @@ def _random_small_problem(rng: np.random.Generator):
     instance = Instance.from_radii("rnd", radii.tolist())
     grid = grid_for_instance(instance, size, size / theta)
     return instance, grid, size
+
+
+def _random_tied_problem(rng: np.random.Generator, strip: bool):
+    """Three circles with tied radii, [r, r, r] or [r, r', r'] (r' < r), or
+    nearly tied ones, [r, r', r''] with r'' at most 5 % below r', in a disc
+    or in a strip, on a grid of at most about 12 steps a side.
+
+    Tied circles get equal domains wherever no symmetry cut tells them
+    apart, so the engine shares their masks; nearly tied circles often get
+    equal domains too, but not equal separation thresholds.
+    """
+    big = float(rng.uniform(0.8, 1.4))
+    pattern = rng.integers(3)
+    small = big if pattern == 0 else float(rng.uniform(0.6, big * 0.95))
+    last = small * float(rng.uniform(0.95, 0.99)) if pattern == 2 else small
+    radii = [big, small, last]
+    if not strip:
+        instance = Instance.from_radii("tied", radii)
+        lo = big * 1.01
+        size = float(rng.uniform(lo, max(lo + 0.05, min(sum(radii), 4.0 * last))))
+        theta_min = math.floor(size * math.sqrt(2.0) / last) + 1
+        theta = int(rng.integers(theta_min, 7)) if theta_min < 7 else theta_min
+        return instance, grid_for_instance(instance, size, size / theta)
+    width = float(rng.uniform(2.0 * big, 2.0 * (big + small)))
+    instance = Instance.from_radii("tied", radii, StripContainer(width))
+    size = float(rng.uniform(2.0 * big, 2.0 * sum(radii)))
+    # cell diagonal below the smallest radius, at most ~12 cells a side
+    delta = min(max(size, width) / 12.0, 0.99 * last / math.sqrt(2.0))
+    return instance, grid_for_instance(instance, size, delta)
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +333,213 @@ class TestSolveAgainstOracle:
             assert len(statuses) == 1
 
 
+class TestTiedRadii:
+    """The engine shares one mask between adjacent circles with equal
+    domains and clears it once per node; enumeration knows nothing of that."""
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["disc", "strip"])
+    def test_matches_exhaustive_enumeration_both_modes(self, strip):
+        rng = np.random.default_rng(20261018 + strip)
+        seen = {True: 0, False: 0}
+        shared = {True: 0, False: 0}  # by whether the thresholds are equal
+        for _ in range(40):
+            instance, grid = _random_tied_problem(rng, strip)
+            for mode in ("restricted", "relaxed"):
+                for symmetry in (True, False):
+                    problem = build_problem(instance, grid, mode, symmetry=symmetry)
+                    engine = _Engine(problem, SolveLimits(), PruneConfig())
+                    if engine.masks[1] is engine.masks[2]:
+                        shared[engine.min_sq[0][1] == engine.min_sq[0][2]] += 1
+                    expected = brute_force_feasible(problem)
+                    seen[expected] += 1
+                    for prune in PRUNE_CONFIGS:
+                        outcome = solve(problem, prune=prune)
+                        assert outcome.status == (
+                            "feasible" if expected else "infeasible"
+                        ), f"{mode} symmetry={symmetry} {prune} disagrees"
+        assert seen[True] > 5 and seen[False] > 5, "sampled instances too one-sided"
+        assert shared[True] > 20 and shared[False] > 5, f"too few shared masks: {shared}"
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["disc", "strip"])
+    def test_elimination_matches_direct_clearing(self, strip):
+        rng = np.random.default_rng(5 + strip)
+        shared = {True: 0, False: 0}  # by whether the thresholds are equal
+        for _ in range(25):
+            instance, grid = _random_tied_problem(rng, strip)
+            for mode in ("restricted", "relaxed"):
+                problem = build_problem(instance, grid, mode, symmetry=False)
+                domains = [problem.domains[cid].mask for cid in (1, 2, 3)]
+                ii, jj = np.indices(domains[0].shape)
+                thresholds = [_pair_min_sq(problem, 1, cid) for cid in (2, 3)]
+                engine = _Engine(problem, SolveLimits(), PruneConfig())
+                if engine.masks[1] is engine.masks[2]:
+                    shared[thresholds[0] == thresholds[1]] += 1
+                for i, j in np.argwhere(domains[0])[::3]:
+                    saved, dead = engine._eliminate(0, int(i), int(j))
+                    for k in (1, 2):
+                        expected = domains[k] & ~forbidden(
+                            ii - i, jj - j, thresholds[k - 1], mode
+                        )
+                        assert np.array_equal(engine.masks[k], expected)
+                        assert engine.boxes[k] == bounding_box(expected)
+                        if engine.boxes[k] is None:
+                            break
+                    assert dead == (engine.boxes[k] is None)
+                    for k, mask, box in saved:
+                        engine.masks[k], engine.boxes[k] = mask, box
+                    assert all(m is d or np.array_equal(m, d) for m, d in zip(engine.masks, domains))
+        assert shared[True] > 10 and shared[False] > 3, f"too few shared masks: {shared}"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_equal_circles_agree_across_pruning(self, n):
+        instance = Instance.from_radii("eq", [1.0] * n)
+        statuses = set()
+        for size in (1.9, 2.2, 2.45, 2.8):
+            for theta in (4, 6):
+                grid = grid_for_instance(instance, size, size / theta)
+                for mode in ("restricted", "relaxed"):
+                    problem = build_problem(instance, grid, mode)
+                    engine = _Engine(problem, SolveLimits(), PruneConfig())
+                    assert engine.masks[2] is engine.masks[n - 1]
+                    got = {solve(problem, prune=prune).status for prune in PRUNE_CONFIGS}
+                    assert len(got) == 1, f"size {size} theta {theta} {mode}: {got}"
+                    statuses |= got
+        assert statuses == {"feasible", "infeasible"}
+
+
+# Search traces recorded with the engine that copied every unassigned
+# domain at every child (commit a601e24), at the first trial of a run with
+# relaxed-search budgets (eq-07, strip-b) and at two zimm-06 trials: the
+# status, the node count, the positions when the search stopped (the
+# assignment when feasible) and the candidates left in each domain then.
+INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
+TRACE_GRIDS = {
+    ("eq-07", 2.822875655533296): 0.04428108611717624,
+    ("strip-b", 5.356197490192345): 0.1609521274519139,
+    ("zimm-06", 11.086517007382739): 0.12037148853250745,
+    ("zimm-06", 11.060185744266253): 0.12037148853250745,
+}
+TRACE_PRUNES = {
+    "all": PruneConfig(True, True, True),
+    "nocond": PruneConfig(True, True, False),
+    "condonly": PruneConfig(False, False, True),
+}
+PINNED_TRACES = (
+    ("eq-07", 2.822875655533296, "relaxed", "all", 3000, "unknown", 3001,
+     ((67, 68), (23, 73), None, None, None, None, None),
+     (1378, 101, 117, 117, 117, 117, 117)),
+    ("eq-07", 2.822875655533296, "relaxed", "nocond", 3000, "unknown", 3001,
+     ((64, 67), (30, 39), None, None, None, None, None),
+     (1378, 2290, 4474, 4474, 4474, 4474, 4474)),
+    ("eq-07", 2.822875655533296, "relaxed", "condonly", 3000, "unknown", 3001,
+     ((67, 66), (23, 55), None, None, None, None, None),
+     (1378, 79, 9, 9, 9, 9, 9)),
+    ("eq-07", 2.822875655533296, "restricted", "all", 3000, "unknown", 3001,
+     ((72, 66), None, None, None, None, None, None),
+     (1378, 212, 252, 252, 252, 252, 252)),
+    ("eq-07", 2.822875655533296, "restricted", "nocond", 3000, "unknown", 3001,
+     ((64, 67), None, None, None, None, None, None),
+     (1378, 2246, 4409, 4409, 4409, 4409, 4409)),
+    ("eq-07", 2.822875655533296, "restricted", "condonly", 3000, "unknown", 3001,
+     ((67, 70), (29, 44), None, None, None, None, None),
+     (1378, 37, 14, 14, 14, 14, 14)),
+    ("strip-b", 5.356197490192345, "relaxed", "all", 3000, "unknown", 3001,
+     ((19, 15), (10, 8), None, None, None, None),
+     (88, 48, 4, 4, 4, 4)),
+    ("strip-b", 5.356197490192345, "relaxed", "nocond", 3000, "unknown", 3001,
+     ((17, 12), (8, 19), (6, 6), (27, 6), None, None),
+     (88, 234, 234, 234, 234, 234)),
+    ("strip-b", 5.356197490192345, "relaxed", "condonly", 3000, "unknown", 3001,
+     ((17, 13), (6, 19), (27, 19), (26, 6), None, None),
+     (88, 15, 9, 8, 5, 5)),
+    ("strip-b", 5.356197490192345, "restricted", "all", 3000, "unknown", 3001,
+     ((25, 17), None, None, None, None, None),
+     (88, 94, 94, 94, 94, 94)),
+    ("strip-b", 5.356197490192345, "restricted", "nocond", 3000, "unknown", 3001,
+     ((19, 12), None, None, None, None, None),
+     (88, 218, 218, 218, 218, 218)),
+    ("strip-b", 5.356197490192345, "restricted", "condonly", 3000, "unknown", 3001,
+     ((19, 19), (27, 9), None, None, None, None),
+     (88, 37, 30, 30, 30, 30)),
+    ("strip-b", 5.356197490192345, "restricted", "all", 10000, "infeasible", 5398,
+     (None, None, None, None, None, None),
+     (88, 218, 218, 218, 218, 218)),
+    ("strip-b", 5.356197490192345, "restricted", "nocond", 10000, "unknown", 10001,
+     ((20, 13), (8, 19), None, None, None, None),
+     (88, 218, 218, 218, 218, 218)),
+    ("strip-b", 5.356197490192345, "restricted", "condonly", 10000, "unknown", 10001,
+     ((26, 18), None, None, None, None, None),
+     (88, 113, 113, 113, 113, 113)),
+    ("zimm-06", 11.086517007382739, "restricted", "all", 3000, "feasible", 1243,
+     ((124, 122), (47, 71), (115, 38), (50, 139), (159, 64), (173, 85)),
+     (145, 160, 1324, 4531, 9568, 16423)),
+    ("zimm-06", 11.086517007382739, "restricted", "nocond", 3000, "unknown", 3001,
+     ((122, 121), None, None, None, None, None),
+     (145, 160, 1324, 4531, 9568, 16423)),
+    ("zimm-06", 11.086517007382739, "restricted", "condonly", 3000, "feasible", 1442,
+     ((124, 122), (47, 71), (115, 38), (50, 139), (159, 64), (173, 85)),
+     (145, 160, 1324, 4531, 9568, 16423)),
+    ("zimm-06", 11.086517007382739, "relaxed", "all", 3000, "feasible", 1461,
+     ((118, 124), (51, 62), (123, 41), (43, 128), (64, 163), (84, 176)),
+     (145, 163, 1334, 4555, 9622, 16524)),
+    ("zimm-06", 11.086517007382739, "relaxed", "nocond", 3000, "unknown", 3001,
+     ((118, 124), (52, 61), None, None, None, None),
+     (145, 163, 1334, 4555, 9622, 16524)),
+    ("zimm-06", 11.086517007382739, "relaxed", "condonly", 3000, "feasible", 1461,
+     ((118, 124), (51, 62), (123, 41), (43, 128), (64, 163), (84, 176)),
+     (145, 163, 1334, 4555, 9622, 16524)),
+    ("zimm-06", 11.060185744266253, "restricted", "all", 3000, "infeasible", 275,
+     (None, None, None, None, None, None),
+     (124, 134, 1248, 4348, 9264, 15975)),
+    ("zimm-06", 11.060185744266253, "restricted", "nocond", 3000, "unknown", 3001,
+     ((128, 110), None, None, None, None, None),
+     (124, 134, 1248, 4348, 9264, 15975)),
+    ("zimm-06", 11.060185744266253, "restricted", "condonly", 3000, "infeasible", 402,
+     (None, None, None, None, None, None),
+     (124, 134, 1248, 4348, 9264, 15975)),
+    ("zimm-06", 11.060185744266253, "relaxed", "all", 3000, "feasible", 1441,
+     ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
+     (124, 136, 1257, 4374, 9314, 16072)),
+    ("zimm-06", 11.060185744266253, "relaxed", "nocond", 3000, "unknown", 3001,
+     ((118, 122), (49, 64), (119, 39), None, None, None),
+     (124, 136, 1257, 4374, 9314, 16072)),
+    ("zimm-06", 11.060185744266253, "relaxed", "condonly", 3000, "feasible", 1441,
+     ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
+     (124, 136, 1257, 4374, 9314, 16072)),
+)
+
+
+class TestPinnedSearchTrace:
+    @pytest.fixture(scope="class")
+    def problems(self):
+        built = {}
+        for (name, size), delta in TRACE_GRIDS.items():
+            instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
+            grid = grid_for_instance(instance, size, delta)
+            regions = propagate(build_region_map(instance, size, grid), instance.radii)
+            for mode in ("restricted", "relaxed"):
+                built[(name, size, mode)] = build_problem(instance, grid, mode, regions)
+        return built
+
+    @pytest.mark.parametrize(
+        "trace", PINNED_TRACES, ids=lambda t: "-".join(map(str, t[:5]))
+    )
+    def test_engine_reproduces_recorded_search(self, problems, trace):
+        name, size, mode, prune, max_nodes, status, nodes, positions, left = trace
+        problem = problems[(name, size, mode)]
+        engine = _Engine(problem, SolveLimits(max_nodes=max_nodes), TRACE_PRUNES[prune])
+        outcome = engine.run()
+        assert (outcome.status, outcome.nodes) == (status, nodes)
+        assert tuple(engine.positions) == positions
+        assert tuple(int(mask.sum()) for mask in engine.masks) == left
+        expected = (
+            {cid: positions[cid - 1] for cid in range(1, len(positions) + 1)}
+            if status == "feasible"
+            else None
+        )
+        assert outcome.assignment == expected
+
+
 class TestEngineInternals:
     def test_sealed_idle_area_counted_for_exact_tangent_triple(self):
         instance = Instance.from_radii("pyth", [3.0, 2.0, 1.0])
@@ -330,15 +575,21 @@ class TestEngineInternals:
 
 
 class TestSolveBehaviour:
-    def test_single_thread_is_deterministic(self):
-        instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
-        grid = grid_for_instance(instance, 1.8, 0.1)
-        problem = build_problem(instance, grid, "restricted")
-        first = solve(problem)
-        second = solve(problem)
-        assert first.status == second.status
-        assert first.assignment == second.assignment
-        assert first.nodes == second.nodes
+    @pytest.mark.parametrize(
+        "radii, size, delta",
+        [([1.0, 0.75, 0.5], 1.8, 0.1), ([1.0] * 5, 2.8, 0.35)],
+        ids=["mixed", "equal"],
+    )
+    def test_solve_is_deterministic(self, radii, size, delta):
+        instance = Instance.from_radii("det", radii)
+        grid = grid_for_instance(instance, size, delta)
+        for mode in ("restricted", "relaxed"):
+            problem = build_problem(instance, grid, mode)
+            first = solve(problem)
+            second = solve(problem)
+            assert first.status == second.status
+            assert first.assignment == second.assignment
+            assert first.nodes == second.nodes
 
     def test_node_limit_reports_unknown(self):
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])

@@ -20,8 +20,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circlepack import driver
 from circlepack.cli import main
 from circlepack.driver import DriverLimits, run
+from circlepack.feasibility import solve
 from circlepack.files import (
     FileFormatError,
     decode_coordinate,
@@ -200,6 +202,27 @@ class TestResultFiles:
         assert [record["model"] for record in loaded["log"]] == [
             record.model for record in result.log
         ]
+
+    def test_log_nodes_sum_to_solver_total(self, tmp_path, monkeypatch):
+        totals = []
+
+        def counting_solve(*args, **kwargs):
+            outcome = solve(*args, **kwargs)
+            totals.append(outcome.nodes)
+            return outcome
+
+        monkeypatch.setattr(driver, "solve", counting_solve)
+        # three unit circles: the run ends on a restricted and a relaxed
+        # infeasibility proof
+        instance = Instance.from_radii("eq3", [1.0, 1.0, 1.0])
+        result = run(instance, 0.01, limits=DriverLimits(time_seconds=60))
+        path = write_result(result_payload(instance, result), tmp_path / "eq3.json")
+        log = read_result(path)["log"]
+        searches = [record for record in log if record["model"] != "region"]
+        assert len(searches) == len(totals) > 0
+        assert [record["nodes"] for record in searches] == totals
+        assert all(record["nodes"] == 0 for record in log if record["model"] == "region")
+        assert sum(record["nodes"] for record in log) == sum(totals) > 0
 
     def test_lattice_placement_survives_disk_exactly(self, tmp_path, lattice_run):
         instance, result = lattice_run
