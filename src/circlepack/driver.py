@@ -28,6 +28,7 @@ from .bounds import BoundReport, compute_bounds
 from .feasibility import (
     PruneConfig,
     SolveLimits,
+    SolveOutcome,
     assignment_to_placement,
     build_problem,
     solve,
@@ -78,7 +79,9 @@ class IterationRecord:
     ``model`` is "region", "restricted", or "relaxed"; ``outcome`` is
     "empty"/"nonempty" for region propagation and the solver status
     otherwise.  ``lower``/``upper`` snapshot the bracket after the event.
-    ``nodes`` is the solver's search-node count (0 for region events).
+    ``nodes`` is the solver's search-node count, and ``area``,
+    ``farthest_pair`` and ``wipeout`` its per-rule prune counts
+    (``SolveOutcome``); all four are 0 for region events.
     """
 
     trial: int
@@ -90,6 +93,9 @@ class IterationRecord:
     lower: float
     upper: float
     nodes: int = 0
+    area: int = 0
+    farthest_pair: int = 0
+    wipeout: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -102,6 +108,9 @@ class IterationRecord:
             "lower": self.lower,
             "upper": self.upper,
             "nodes": self.nodes,
+            "area": self.area,
+            "farthest_pair": self.farthest_pair,
+            "wipeout": self.wipeout,
         }
 
 
@@ -248,7 +257,9 @@ def run(
     status: Status | None = None
     pending_size: float | None = None
 
-    def record(model: str, outcome: str, seconds: float, nodes: int = 0) -> None:
+    def record(
+        model: str, outcome: str, seconds: float, search: SolveOutcome | None = None
+    ) -> None:
         state.log.append(
             IterationRecord(
                 trial=state.trials,
@@ -259,7 +270,10 @@ def run(
                 seconds=seconds,
                 lower=state.lower,
                 upper=state.upper,
-                nodes=nodes,
+                nodes=search.nodes if search else 0,
+                area=search.area if search else 0,
+                farthest_pair=search.farthest_pair if search else 0,
+                wipeout=search.wipeout if search else 0,
             )
         )
 
@@ -333,9 +347,9 @@ def run(
                 )
                 state.upper = size
                 state.incumbent = placement
-                record("restricted", restricted.status, seconds, restricted.nodes)
+                record("restricted", restricted.status, seconds, restricted)
                 break
-            record("restricted", restricted.status, seconds, restricted.nodes)
+            record("restricted", restricted.status, seconds, restricted)
             if restricted.is_unknown and out_of_time():
                 status = "TimeLimit"
                 break
@@ -352,9 +366,9 @@ def run(
             seconds = time.perf_counter() - start
             if relaxed.is_infeasible:
                 state.lower = size
-                record("relaxed", relaxed.status, seconds, relaxed.nodes)
+                record("relaxed", relaxed.status, seconds, relaxed)
                 break
-            record("relaxed", relaxed.status, seconds, relaxed.nodes)
+            record("relaxed", relaxed.status, seconds, relaxed)
             if relaxed.is_unknown and out_of_time():
                 status = "TimeLimit"
                 break

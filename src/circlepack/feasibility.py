@@ -23,16 +23,39 @@ All pruning is conservative: toggling rules changes the search effort,
 never the outcome.  The equivalent binary linear program can be written
 to an LP file by the milp module.
 
-A search node is kept cheap without changing any search decision.  Domain
-masks are never written in place: conditional elimination makes a cleared
-copy, so adjacent circles with equal domains (equal circles, mostly) share
-one array, and a circle whose mask and pair threshold match its
-predecessor's takes the predecessor's cleared copy; a node copies once per
-distinct (domain, threshold) rather than once per unassigned circle.  Each
-mask carries its bounding box, which is the emptiness test, the input of
-the farthest-pair rule, and the window in which a cleared copy's box and
-the candidate order are computed.  The allowed offsets of each pair
-threshold are stored once.
+A search node is kept cheap without changing any search decision.  Each
+domain is held as two Python ints: a row-major bitset, cell (i, j) at bit
+i*S + j, and a column-major one, cell (i, j) at bit j*T + i.  The strides
+are S = max(ny, m) + m + 1 and T = max(nx, m) + m + 1 for an (nx, ny) grid,
+where m is the largest forbidden reach (``grid.forbidden_reach``) of the
+problem's pair thresholds.  Each threshold's forbidden offsets in
+[-m, m]^2 are packed once with the same strides, offset (di, dj) at bit
+(di + m)*S + (dj + m); the max(., m) term makes S >= 2m + 1, so a pattern
+row fits one stride even when the square is wider than the grid.  Shifted
+by (i - m)*S + (j - m), the pattern puts offset (di, dj) at bit
+(i + di)*S + (j + dj), and one AND finds every candidate that conflicts
+with a circle at (i, j).
+
+The shift is sound because bits ny..S-1 of each row, the guard columns,
+are never set in a domain, and S >= ny + m.  The column j + dj lies in
+[-m, ny + m): inside [0, ny) the bit is the cell itself; from ny up it is a
+guard bit of row i + di; below 0 it is guard bit S + j + dj >= S - m > ny
+of row i + di - 1, or lies below bit 0.  A row i + di < 0 puts the offset
+below bit 0, where the shift drops it; a row at or past nx puts it in the
+guard of row nx - 1 or above it, where no bit is set.  The column-major
+pattern is the same construction on the transposed grid.
+
+Domains are never written in place: clearing makes new ints, and when the
+pattern hits no candidate the parent domain is reused as it is.  Adjacent
+circles with equal domains (equal circles, mostly) share one domain, and a
+circle whose domain and pair threshold match its predecessor's takes the
+predecessor's cleared domain, so a node clears once per distinct (domain,
+threshold) rather than once per unassigned circle.  Each domain carries its
+exact bounding box, read from bit lengths: the lowest and highest set bit
+of the row-major int give the first and last row, those of the
+column-major int the first and last column.  The box is the input of the
+farthest-pair rule and the window in which the candidate order is
+unpacked; an int of 0 is an empty domain.
 """
 
 from __future__ import annotations
@@ -51,7 +74,6 @@ from .grid import (
     CandidateSet,
     Grid,
     Mode,
-    bounding_box,
     forbidden,
     forbidden_reach,
     min_sq_steps,
@@ -120,6 +142,11 @@ class SolveOutcome:
     present exactly when ``status == "feasible"``.  ``reason`` explains an
     unknown outcome ("timeout" or "node-limit").  A limit hit is always
     reported as unknown, never as infeasible.
+
+    ``area`` and ``farthest_pair`` count the nodes each of those rules cut
+    off; ``wipeout`` counts the conditional eliminations that emptied a
+    domain.  Like ``nodes`` they are deterministic for one problem, limits
+    and pruning.
     """
 
     status: Literal["feasible", "infeasible", "unknown"]
@@ -127,6 +154,9 @@ class SolveOutcome:
     reason: str | None = None
     nodes: int = 0
     elapsed: float = 0.0
+    area: int = 0
+    farthest_pair: int = 0
+    wipeout: int = 0
 
     @property
     def is_feasible(self) -> bool:
@@ -287,8 +317,28 @@ def _assignment_satisfies(
     return True
 
 
-# (imin, imax, jmin, jmax) of a mask's candidates, as grid.bounding_box
+# (imin, imax, jmin, jmax) of a domain's candidates, as grid.bounding_box
 _Box = tuple[int, int, int, int]
+# a search domain: row-major bits, column-major bits, and the box (None
+# exactly when the domain is empty); see the module docstring
+_Domain = tuple[int, int, _Box | None]
+
+
+def _pack(mask: np.ndarray, stride: int) -> int:
+    """Bitset of a 2-D bool mask with cell (i, j) at bit i*stride + j;
+    ``stride`` is at least the mask's second dimension."""
+    padded = np.zeros((mask.shape[0], stride), dtype=bool)
+    padded[:, : mask.shape[1]] = mask
+    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, rows: int, stride: int) -> np.ndarray:
+    """The first ``rows`` rows of a bitset packed by ``_pack``: a 0/1
+    uint8 array of shape (rows, stride), guard columns included.  No bit
+    may be set at or above ``rows * stride``."""
+    count = rows * stride
+    raw = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").reshape(rows, stride)
 
 
 class _LimitHit(Exception):
@@ -320,17 +370,35 @@ class _Engine:
         grid = problem.grid
         n = problem.instance.n
         self.n = n
-        # circle ids are 1..n in non-increasing radius order.  No mask is
+        # strides and forbidden patterns of the packed domains (module
+        # docstring); one pattern pair per distinct pair threshold
+        thresholds = set(problem.min_sq.values())
+        m = max([0, *(forbidden_reach(s, self.mode) for s in thresholds)])
+        nx, ny = problem.domains[1].mask.shape
+        self.reach = m
+        self.row_stride = max(ny, m) + m + 1
+        self.col_stride = max(nx, m) + m + 1
+        offs = np.arange(-m, m + 1)
+        self.patterns: dict[int, tuple[int, int]] = {}
+        for threshold in thresholds:
+            square = forbidden(offs[:, None], offs[None, :], threshold, self.mode)
+            self.patterns[threshold] = (
+                _pack(square, self.row_stride),
+                _pack(square.T, self.col_stride),
+            )
+
+        # circle ids are 1..n in non-increasing radius order.  No domain is
         # ever written in place, so adjacent circles with equal domains
-        # share one array; ``boxes`` holds each mask's bounding box (None
-        # when empty) and is saved and restored with ``masks``
-        self.masks: list[np.ndarray] = []
+        # share one tuple
+        self.masks: list[_Domain] = []
         for cid in range(1, n + 1):
             mask = problem.domains[cid].mask
-            if self.masks and np.array_equal(self.masks[-1], mask):
-                mask = self.masks[-1]
-            self.masks.append(mask)
-        self.boxes = [bounding_box(mask) for mask in self.masks]
+            rows = _pack(mask, self.row_stride)
+            if self.masks and self.masks[-1][0] == rows:
+                self.masks.append(self.masks[-1])
+            else:
+                cols = _pack(mask.T, self.col_stride)
+                self.masks.append((rows, cols, self._box(rows, cols)))
 
         self.min_sq = [[0] * n for _ in range(n)]
         for (a, b), threshold in problem.min_sq.items():
@@ -365,13 +433,6 @@ class _Engine:
                 if sq.denominator == 1:
                     self.tangent_sq[(a, b)] = int(sq)
 
-        # allowed-offset windows per pair threshold, used both for
-        # conditional deletion and for the vectorized last-level scan
-        self.windows = {
-            threshold: self._build_window(threshold)
-            for threshold in set(problem.min_sq.values())
-        }
-
         if grid.kind == "circle":
             ref = (float(grid.theta), float(grid.theta))
         else:
@@ -386,6 +447,9 @@ class _Engine:
         self.positions: list[tuple[int, int] | None] = [None] * n
         self.idle = 0.0
         self.nodes = 0
+        self.area_prunes = 0
+        self.farthest_prunes = 0
+        self.wipeouts = 0
         self._next_time_check = 0
         self._deadline = (
             time.monotonic() + limits.time_seconds
@@ -393,12 +457,17 @@ class _Engine:
             else None
         )
 
-    def _build_window(self, min_sq: int) -> tuple[np.ndarray, int] | None:
-        m = forbidden_reach(min_sq, self.mode)
-        if m < 0:
+    def _box(self, rows: int, cols: int) -> _Box | None:
+        """Exact bounding box of a packed domain, None when it is empty."""
+        if not rows:
             return None
-        offs = np.arange(-m, m + 1)
-        return ~forbidden(offs[:, None], offs[None, :], min_sq, self.mode), m
+        s, t = self.row_stride, self.col_stride
+        return (
+            ((rows & -rows).bit_length() - 1) // s,
+            (rows.bit_length() - 1) // s,
+            ((cols & -cols).bit_length() - 1) // t,
+            (cols.bit_length() - 1) // t,
+        )
 
     def _tick(self, count: int = 1) -> None:
         self.nodes += count
@@ -409,9 +478,10 @@ class _Engine:
             if time.monotonic() > self._deadline:
                 raise _LimitHit("timeout")
 
-    def _ordered(self, t: int, mask: np.ndarray, box: _Box) -> list[tuple[int, int]]:
-        i0, i1, j0, j1 = box
-        ii, jj = np.nonzero(mask[i0 : i1 + 1, j0 : j1 + 1])
+    def _ordered(self, t: int, domain: _Domain) -> list[tuple[int, int]]:
+        rows, _, (i0, i1, j0, j1) = domain
+        s = self.row_stride
+        ii, jj = np.nonzero(_unpack(rows >> i0 * s, i1 - i0 + 1, s)[:, j0 : j1 + 1])
         ii += i0
         jj += j0
         if t == 0:
@@ -429,7 +499,7 @@ class _Engine:
     def _farthest_prunes(self, t: int) -> bool:
         """Even the farthest candidates of the two largest unassigned
         circles are too close (bounding-box upper bound on distance)."""
-        box_a, box_b = self.boxes[t], self.boxes[t + 1]
+        box_a, box_b = self.masks[t][2], self.masks[t + 1][2]
         if box_a is None or box_b is None:
             return True
         max_di = max(box_a[1] - box_b[0], box_b[1] - box_a[0])
@@ -437,32 +507,29 @@ class _Engine:
         return forbidden(max_di, max_dj, self.min_sq[t][t + 1], self.mode)
 
     def _without_forbidden(
-        self, mask: np.ndarray, box: _Box, min_sq: int, i: int, j: int
-    ) -> tuple[np.ndarray, _Box | None] | None:
-        """Copy of ``mask`` (whose box is ``box``) with the cells that
-        conflict with (i, j) cleared, and the copy's box; None when the
-        forbidden window misses the box, so nothing would be cleared.
+        self, domain: _Domain, min_sq: int, i: int, j: int
+    ) -> _Domain | None:
+        """``domain`` with the candidates that conflict with (i, j) under
+        threshold ``min_sq`` cleared; None when none conflicts, so that the
+        caller reuses the parent domain as it is.
 
-        The copy is a subset of ``mask``, so its box lies inside ``box``
-        and is searched for there only.
+        One AND of the domain with the threshold's forbidden pattern,
+        shifted onto (i, j), finds the conflicting bits (the module
+        docstring has the guard-column argument); one XOR clears them.
         """
-        entry = self.windows[min_sq]
-        if entry is None:
+        rows, cols, _ = domain
+        pattern_rows, pattern_cols = self.patterns[min_sq]
+        m = self.reach
+        base = (i - m) * self.row_stride + j - m
+        hit = rows & (pattern_rows << base if base >= 0 else pattern_rows >> -base)
+        if not hit:
             return None
-        allowed, m = entry
-        i0, i1, j0, j1 = box
-        r0, r1 = max(i0, i - m), min(i1, i + m)
-        c0, c1 = max(j0, j - m), min(j1, j + m)
-        if r0 > r1 or c0 > c1:
-            return None
-        out = mask.copy()
-        out[r0 : r1 + 1, c0 : c1 + 1] &= allowed[
-            r0 - i + m : r1 - i + m + 1, c0 - j + m : c1 - j + m + 1
-        ]
-        inner = bounding_box(out[i0 : i1 + 1, j0 : j1 + 1])
-        if inner is None:
-            return out, None
-        return out, (inner[0] + i0, inner[1] + i0, inner[2] + j0, inner[3] + j0)
+        rows ^= hit
+        if not rows:
+            return 0, 0, None
+        base = (j - m) * self.col_stride + i - m
+        cols ^= cols & (pattern_cols << base if base >= 0 else pattern_cols >> -base)
+        return rows, cols, self._box(rows, cols)
 
     def _conflicts(self, t: int, i: int, j: int) -> bool:
         for u in range(t):
@@ -505,37 +572,35 @@ class _Engine:
         return contrib
 
     def _leaf(self, t: int) -> bool:
-        """Vectorized last level: any surviving candidate completes the
-        packing once cleared against every assigned circle."""
-        mask, box = self.masks[t], self.boxes[t]
+        """Last level: any surviving candidate completes the packing once
+        cleared against every assigned circle; each candidate counts as a
+        node."""
+        domain = self.masks[t]
         if not self.prune.conditional:
             for u in range(t):
-                if box is None:
+                if not domain[0]:
                     break
                 pi, pj = self.positions[u]
-                cleared = self._without_forbidden(
-                    mask, box, self.min_sq[u][t], pi, pj
-                )
+                cleared = self._without_forbidden(domain, self.min_sq[u][t], pi, pj)
                 if cleared is not None:
-                    mask, box = cleared
-        if box is None:
+                    domain = cleared
+        if not domain[0]:
             self._tick()
             return False
-        i0, i1, j0, j1 = box
-        self._tick(max(1, int(np.count_nonzero(mask[i0 : i1 + 1, j0 : j1 + 1]))))
-        self.positions[t] = self._ordered(t, mask, box)[0]
+        self._tick(domain[0].bit_count())
+        self.positions[t] = self._ordered(t, domain)[0]
         return True
 
     def _eliminate(
         self, t: int, i: int, j: int
-    ) -> tuple[list[tuple[int, np.ndarray, _Box]], bool]:
+    ) -> tuple[list[tuple[int, _Domain]], bool]:
         """Conditional elimination after placing circle ``t`` at (i, j):
         clear the conflicting cells from the domains of circles t+1..n-1.
 
-        Returns the replaced (circle, mask, box) entries, for the caller to
+        Returns the replaced (circle, domain) entries, for the caller to
         put back, and whether some domain emptied (elimination stops there).
         """
-        masks, boxes, min_sq = self.masks, self.boxes, self.min_sq[t]
+        masks, min_sq = self.masks, self.min_sq[t]
         saved = []
         source = threshold = cleared = None
         for k in range(t + 1, self.n):
@@ -543,27 +608,30 @@ class _Engine:
             # shares its cleared domain too
             if masks[k] is not source or min_sq[k] != threshold:
                 source, threshold = masks[k], min_sq[k]
-                cleared = self._without_forbidden(source, boxes[k], threshold, i, j)
+                cleared = self._without_forbidden(source, threshold, i, j)
             if cleared is None:
                 continue
-            saved.append((k, masks[k], boxes[k]))
-            masks[k], boxes[k] = cleared
-            if boxes[k] is None:
+            saved.append((k, masks[k]))
+            masks[k] = cleared
+            if not cleared[0]:
+                self.wipeouts += 1
                 return saved, True
         return saved, False
 
     def _dfs(self, t: int) -> bool:
         if self.prune.area and self._area_prunes(t):
+            self.area_prunes += 1
             return False
         if self.prune.farthest_pair and t + 1 < self.n and self._farthest_prunes(t):
+            self.farthest_prunes += 1
             return False
         if t == self.n:
             return True
         if t == self.n - 1:
             return self._leaf(t)
 
-        masks, boxes = self.masks, self.boxes
-        for i, j in self._ordered(t, masks[t], boxes[t]):
+        masks = self.masks
+        for i, j in self._ordered(t, masks[t]):
             self._tick()
             if not self.prune.conditional and self._conflicts(t, i, j):
                 continue
@@ -576,8 +644,8 @@ class _Engine:
                 self.idle += self._new_idle(t, i, j)
             found = not dead and self._dfs(t + 1)
             self.idle = idle_before
-            for k, mask, box in saved:
-                masks[k], boxes[k] = mask, box
+            for k, domain in saved:
+                masks[k] = domain
             if found:
                 return True
             self.positions[t] = None
@@ -585,27 +653,27 @@ class _Engine:
 
     def run(self) -> SolveOutcome:
         start = time.monotonic()
+        status, reason, assignment = "infeasible", None, None
         try:
             found = self._dfs(0)
         except _LimitHit as hit:
-            return SolveOutcome(
-                status="unknown",
-                reason=hit.reason,
-                nodes=self.nodes,
-                elapsed=time.monotonic() - start,
-            )
+            found, status, reason = False, "unknown", hit.reason
         elapsed = time.monotonic() - start
-        if not found:
-            return SolveOutcome(status="infeasible", nodes=self.nodes, elapsed=elapsed)
-        assignment = {
-            t + 1: self.positions[t] for t in range(self.n)
-        }
-        if not _assignment_satisfies(self.problem, assignment):
-            raise RuntimeError("internal error: assignment failed re-verification")
+        if found:
+            status = "feasible"
+            assignment = {t + 1: self.positions[t] for t in range(self.n)}
+            if not _assignment_satisfies(self.problem, assignment):
+                raise RuntimeError("internal error: assignment failed re-verification")
         return SolveOutcome(
-            status="feasible", assignment=assignment, nodes=self.nodes, elapsed=elapsed
+            status=status,
+            assignment=assignment,
+            reason=reason,
+            nodes=self.nodes,
+            elapsed=elapsed,
+            area=self.area_prunes,
+            farthest_pair=self.farthest_prunes,
+            wipeout=self.wipeouts,
         )
-
 
 def solve(
     problem: FeasibilityProblem,

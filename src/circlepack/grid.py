@@ -288,8 +288,9 @@ def restricted_candidates(
 
 def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
     """(imin, imax, jmin, jmax) of a mask's True cells, or None when empty."""
-    # boolean axis reductions instead of nonzero: the index arrays the
-    # latter materializes dominate the whole search at large grids
+    # boolean axis reductions instead of nonzero, which materializes index
+    # arrays.  Off the search path: region propagation calls it per changed
+    # mask, while the search engine reads its boxes from bit lengths
     rows = mask.any(axis=1)
     imin = int(rows.argmax())
     if not rows[imin]:

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from circlepack.feasibility import (
     PruneConfig,
     SolveLimits,
     _Engine,
+    _pack,
+    _unpack,
     assignment_to_placement,
     build_problem,
     solve,
@@ -33,6 +36,7 @@ from circlepack.bounds import idle_area_triple
 from circlepack.files import read_instance
 from circlepack.geometry import Instance, StripContainer, exact, verify_placement
 from circlepack.grid import (
+    CandidateSet,
     bounding_box,
     forbidden,
     grid_for_instance,
@@ -134,6 +138,20 @@ def _random_tied_problem(rng: np.random.Generator, strip: bool):
     # cell diagonal below the smallest radius, at most ~12 cells a side
     delta = min(max(size, width) / 12.0, 0.99 * last / math.sqrt(2.0))
     return instance, grid_for_instance(instance, size, delta)
+
+
+def _assert_domain_is(engine: _Engine, domain, mask: np.ndarray) -> None:
+    """A packed engine domain holds exactly ``mask``: in both bitsets, with
+    every guard column clear, and with the box of ``grid.bounding_box``."""
+    rows, cols, box = domain
+    for bits, grid_mask, stride in (
+        (rows, mask, engine.row_stride),
+        (cols, mask.T, engine.col_stride),
+    ):
+        padded = np.zeros((grid_mask.shape[0], stride), dtype=bool)
+        padded[:, : grid_mask.shape[1]] = grid_mask
+        assert np.array_equal(_unpack(bits, grid_mask.shape[0], stride), padded)
+    assert box == bounding_box(mask)
 
 
 # --------------------------------------------------------------------------
@@ -374,20 +392,22 @@ class TestTiedRadii:
                 engine = _Engine(problem, SolveLimits(), PruneConfig())
                 if engine.masks[1] is engine.masks[2]:
                     shared[thresholds[0] == thresholds[1]] += 1
+                initial = list(engine.masks)
+                for domain, mask in zip(initial, domains):
+                    _assert_domain_is(engine, domain, mask)
                 for i, j in np.argwhere(domains[0])[::3]:
                     saved, dead = engine._eliminate(0, int(i), int(j))
                     for k in (1, 2):
                         expected = domains[k] & ~forbidden(
                             ii - i, jj - j, thresholds[k - 1], mode
                         )
-                        assert np.array_equal(engine.masks[k], expected)
-                        assert engine.boxes[k] == bounding_box(expected)
-                        if engine.boxes[k] is None:
+                        _assert_domain_is(engine, engine.masks[k], expected)
+                        if engine.masks[k][2] is None:
                             break
-                    assert dead == (engine.boxes[k] is None)
-                    for k, mask, box in saved:
-                        engine.masks[k], engine.boxes[k] = mask, box
-                    assert all(m is d or np.array_equal(m, d) for m, d in zip(engine.masks, domains))
+                    assert dead == (engine.masks[k][2] is None)
+                    for k, domain in saved:
+                        engine.masks[k] = domain
+                    assert all(a is b for a, b in zip(engine.masks, initial))
         assert shared[True] > 10 and shared[False] > 3, f"too few shared masks: {shared}"
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -405,6 +425,73 @@ class TestTiedRadii:
                     assert len(got) == 1, f"size {size} theta {theta} {mode}: {got}"
                     statuses |= got
         assert statuses == {"feasible", "infeasible"}
+
+
+class TestPackedDomains:
+    """The bitset layer of the engine against plain numpy masks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pack_unpack_round_trip(self, data):
+        nx, ny = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        cells = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+        mask = np.array(cells, dtype=bool).reshape(nx, ny)
+        stride = ny + data.draw(st.integers(0, 5))
+        bits = _pack(mask, stride)
+        assert bits.bit_count() == int(mask.sum())
+        assert bits < 1 << (nx * stride)
+        got = _unpack(bits, nx, stride)
+        assert np.array_equal(got[:, :ny], mask) and not got[:, ny:].any()
+        assert np.array_equal(_unpack(_pack(mask.T, nx), ny, nx), mask.T)
+        box = bounding_box(mask)
+        if box is not None:
+            i0, i1 = box[0], box[1]
+            window = _unpack(bits >> i0 * stride, i1 - i0 + 1, stride)
+            assert np.array_equal(window[:, :ny], mask[i0 : i1 + 1])
+
+    @staticmethod
+    def _engine(mask: np.ndarray, min_sq: Mapping, mode: str) -> _Engine:
+        """An engine whose three circles all have the domain ``mask``; only
+        its packing and clearing are exercised, so the grid is nominal."""
+        instance = Instance.from_radii("bits", [1.0, 1.0, 1.0])
+        problem = FeasibilityProblem(
+            instance=instance,
+            grid=grid_for_instance(instance, 4.0, 0.5),
+            mode=mode,
+            domains={cid: CandidateSet(cid, mode, mask) for cid in (1, 2, 3)},
+            radii=instance.radii,
+            min_sq=min_sq,
+        )
+        return _Engine(problem, SolveLimits(), PruneConfig())
+
+    @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 6), (6, 1), (2, 9), (9, 2), (5, 7), (6, 6)], ids=str
+    )
+    def test_clearing_matches_forbidden_at_every_cell(self, shape, mode):
+        rng = np.random.default_rng(10 * shape[0] + shape[1])
+        ii, jj = np.indices(shape)
+        thresholds = (0, 2, 5, 13, 50, 130, 400)
+        wide = 0  # engines whose forbidden square is wider than the grid
+        for clear in thresholds:
+            # the other threshold sets the engine's reach when it is larger
+            for other in thresholds:
+                mask = rng.random(shape) < 0.7
+                engine = self._engine(
+                    mask, {(1, 2): clear, (1, 3): other, (2, 3): other}, mode
+                )
+                wide += 2 * engine.reach + 1 > min(shape)
+                domain = engine.masks[0]
+                _assert_domain_is(engine, domain, mask)
+                for i in range(shape[0]):
+                    for j in range(shape[1]):
+                        expected = mask & ~forbidden(ii - i, jj - j, clear, mode)
+                        cleared = engine._without_forbidden(domain, clear, i, j)
+                        if cleared is None:
+                            assert np.array_equal(expected, mask)
+                        else:
+                            _assert_domain_is(engine, cleared, expected)
+        assert wide > 10
 
 
 # Search traces recorded with the engine that copied every unassigned
@@ -531,7 +618,11 @@ class TestPinnedSearchTrace:
         outcome = engine.run()
         assert (outcome.status, outcome.nodes) == (status, nodes)
         assert tuple(engine.positions) == positions
-        assert tuple(int(mask.sum()) for mask in engine.masks) == left
+        assert tuple(rows.bit_count() for rows, _, _ in engine.masks) == left
+        config = TRACE_PRUNES[prune]
+        assert (outcome.area > 0) <= config.area
+        assert (outcome.farthest_pair > 0) <= config.farthest_pair
+        assert (outcome.wipeout > 0) <= config.conditional
         expected = (
             {cid: positions[cid - 1] for cid in range(1, len(positions) + 1)}
             if status == "feasible"
@@ -590,6 +681,8 @@ class TestSolveBehaviour:
             assert first.status == second.status
             assert first.assignment == second.assignment
             assert first.nodes == second.nodes
+            counts = (first.area, first.farthest_pair, first.wipeout)
+            assert counts == (second.area, second.farthest_pair, second.wipeout)
 
     def test_node_limit_reports_unknown(self):
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])

@@ -204,11 +204,12 @@ class TestResultFiles:
         ]
 
     def test_log_nodes_sum_to_solver_total(self, tmp_path, monkeypatch):
-        totals = []
+        totals, counts = [], []
 
         def counting_solve(*args, **kwargs):
             outcome = solve(*args, **kwargs)
             totals.append(outcome.nodes)
+            counts.append((outcome.area, outcome.farthest_pair, outcome.wipeout))
             return outcome
 
         monkeypatch.setattr(driver, "solve", counting_solve)
@@ -223,6 +224,16 @@ class TestResultFiles:
         assert [record["nodes"] for record in searches] == totals
         assert all(record["nodes"] == 0 for record in log if record["model"] == "region")
         assert sum(record["nodes"] for record in log) == sum(totals) > 0
+        assert [
+            (record["area"], record["farthest_pair"], record["wipeout"])
+            for record in searches
+        ] == counts
+        assert sum(map(sum, counts)) > 0
+        assert all(
+            record["area"] == record["farthest_pair"] == record["wipeout"] == 0
+            for record in log
+            if record["model"] == "region"
+        )
 
     def test_lattice_placement_survives_disk_exactly(self, tmp_path, lattice_run):
         instance, result = lattice_run
