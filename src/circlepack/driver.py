@@ -35,7 +35,7 @@ from .feasibility import (
 )
 from .geometry import Instance, Placement, verify_placement
 from .grid import grid_for_instance
-from .reduction import build_region_map, propagate
+from .reduction import RegionMap, build_region_map, propagate
 
 __all__ = [
     "DriverLimits",
@@ -81,7 +81,11 @@ class IterationRecord:
     otherwise.  ``lower``/``upper`` snapshot the bracket after the event.
     ``nodes`` is the solver's search-node count, and ``area``,
     ``farthest_pair`` and ``wipeout`` its per-rule prune counts
-    (``SolveOutcome``); all four are 0 for region events.
+    (``SolveOutcome``); all four are 0 for region events.  ``sweeps`` and
+    ``cells`` are a nonempty region event's propagation sweeps
+    (``RegionMap.sweeps``) and the total of its surviving cells over all
+    circles; both are 0 for an empty region event, whose propagation
+    returns no map, and for search events.
     """
 
     trial: int
@@ -96,6 +100,8 @@ class IterationRecord:
     area: int = 0
     farthest_pair: int = 0
     wipeout: int = 0
+    sweeps: int = 0
+    cells: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -111,6 +117,8 @@ class IterationRecord:
             "area": self.area,
             "farthest_pair": self.farthest_pair,
             "wipeout": self.wipeout,
+            "sweeps": self.sweeps,
+            "cells": self.cells,
         }
 
 
@@ -258,7 +266,11 @@ def run(
     pending_size: float | None = None
 
     def record(
-        model: str, outcome: str, seconds: float, search: SolveOutcome | None = None
+        model: str,
+        outcome: str,
+        seconds: float,
+        search: SolveOutcome | None = None,
+        regions: RegionMap | None = None,
     ) -> None:
         state.log.append(
             IterationRecord(
@@ -274,6 +286,8 @@ def run(
                 area=search.area if search else 0,
                 farthest_pair=search.farthest_pair if search else 0,
                 wipeout=search.wipeout if search else 0,
+                sweeps=regions.sweeps if regions else 0,
+                cells=sum(map(regions.cell_count, regions.masks)) if regions else 0,
             )
         )
 
@@ -328,7 +342,7 @@ def run(
                     state.lower = size
                     record("region", "empty", seconds)
                     break
-                record("region", "nonempty", seconds)
+                record("region", "nonempty", seconds, regions=regions)
 
             solve_limits = SolveLimits(
                 time_seconds=remaining_time(),

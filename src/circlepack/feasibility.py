@@ -24,26 +24,16 @@ never the outcome.  The equivalent binary linear program can be written
 to an LP file by the milp module.
 
 A search node is kept cheap without changing any search decision.  Each
-domain is held as two Python ints: a row-major bitset, cell (i, j) at bit
-i*S + j, and a column-major one, cell (i, j) at bit j*T + i.  The strides
-are S = max(ny, m) + m + 1 and T = max(nx, m) + m + 1 for an (nx, ny) grid,
-where m is the largest forbidden reach (``grid.forbidden_reach``) of the
-problem's pair thresholds.  Each threshold's forbidden offsets in
-[-m, m]^2 are packed once with the same strides, offset (di, dj) at bit
-(di + m)*S + (dj + m); the max(., m) term makes S >= 2m + 1, so a pattern
-row fits one stride even when the square is wider than the grid.  Shifted
-by (i - m)*S + (j - m), the pattern puts offset (di, dj) at bit
-(i + di)*S + (j + dj), and one AND finds every candidate that conflicts
-with a circle at (i, j).
-
-The shift is sound because bits ny..S-1 of each row, the guard columns,
-are never set in a domain, and S >= ny + m.  The column j + dj lies in
-[-m, ny + m): inside [0, ny) the bit is the cell itself; from ny up it is a
-guard bit of row i + di; below 0 it is guard bit S + j + dj >= S - m > ny
-of row i + di - 1, or lies below bit 0.  A row i + di < 0 puts the offset
-below bit 0, where the shift drops it; a row at or past nx puts it in the
-guard of row nx - 1 or above it, where no bit is set.  The column-major
-pattern is the same construction on the transposed grid.
+domain is held as two Python ints in the packed layout of ``grid`` (whose
+module docstring has the guard-column soundness argument): a row-major
+bitset, cell (i, j) at bit i*S + j, and a column-major one, cell (i, j) at
+bit j*T + i.  The strides are S = max(ny, m) + m + 1 and
+T = max(nx, m) + m + 1 for an (nx, ny) grid, where m is the largest
+forbidden reach (``grid.forbidden_reach``) of the problem's pair
+thresholds.  Each threshold's forbidden square over [-m, m]^2 is packed
+once with each stride; shifted by (i - m)*S + (j - m), the row-major
+pattern puts offset (di, dj) at bit (i + di)*S + (j + dj), and one AND
+finds every candidate that conflicts with a circle at (i, j).
 
 Domains are never written in place: clearing makes new ints, and when the
 pattern hits no candidate the parent domain is reused as it is.  Adjacent
@@ -74,9 +64,13 @@ from .grid import (
     CandidateSet,
     Grid,
     Mode,
+    _pack,
+    _pattern,
+    _stride,
+    _unpack,
     forbidden,
     forbidden_reach,
-    min_sq_steps,
+    pair_thresholds,
     relaxed_candidates,
     restricted_candidates,
 )
@@ -275,12 +269,9 @@ def build_problem(
             mask &= sym[circle.id]
         domains[circle.id] = CandidateSet(circle.id, mode, mask)
 
+    table = pair_thresholds(instance.radii, grid.delta_exact)
     min_sq = {
-        (a, b): min_sq_steps(
-            exact(instance.radii[a - 1]) + exact(instance.radii[b - 1]),
-            grid.delta_exact,
-        )
-        for a, b in combinations(range(1, instance.n + 1), 2)
+        (a + 1, b + 1): table[a][b] for a, b in combinations(range(instance.n), 2)
     }
     return FeasibilityProblem(
         instance=instance,
@@ -317,28 +308,12 @@ def _assignment_satisfies(
     return True
 
 
-# (imin, imax, jmin, jmax) of a domain's candidates, as grid.bounding_box
+# (imin, imax, jmin, jmax): the first and last row and column that hold a
+# candidate of a domain
 _Box = tuple[int, int, int, int]
 # a search domain: row-major bits, column-major bits, and the box (None
 # exactly when the domain is empty); see the module docstring
 _Domain = tuple[int, int, _Box | None]
-
-
-def _pack(mask: np.ndarray, stride: int) -> int:
-    """Bitset of a 2-D bool mask with cell (i, j) at bit i*stride + j;
-    ``stride`` is at least the mask's second dimension."""
-    padded = np.zeros((mask.shape[0], stride), dtype=bool)
-    padded[:, : mask.shape[1]] = mask
-    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
-
-
-def _unpack(bits: int, rows: int, stride: int) -> np.ndarray:
-    """The first ``rows`` rows of a bitset packed by ``_pack``: a 0/1
-    uint8 array of shape (rows, stride), guard columns included.  No bit
-    may be set at or above ``rows * stride``."""
-    count = rows * stride
-    raw = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=count, bitorder="little").reshape(rows, stride)
 
 
 class _LimitHit(Exception):
@@ -376,16 +351,15 @@ class _Engine:
         m = max([0, *(forbidden_reach(s, self.mode) for s in thresholds)])
         nx, ny = problem.domains[1].mask.shape
         self.reach = m
-        self.row_stride = max(ny, m) + m + 1
-        self.col_stride = max(nx, m) + m + 1
-        offs = np.arange(-m, m + 1)
-        self.patterns: dict[int, tuple[int, int]] = {}
-        for threshold in thresholds:
-            square = forbidden(offs[:, None], offs[None, :], threshold, self.mode)
-            self.patterns[threshold] = (
-                _pack(square, self.row_stride),
-                _pack(square.T, self.col_stride),
+        self.row_stride = _stride(ny, m)
+        self.col_stride = _stride(nx, m)
+        self.patterns: dict[int, tuple[int, int]] = {
+            threshold: (
+                _pattern(threshold, self.mode, m, self.row_stride),
+                _pattern(threshold, self.mode, m, self.col_stride),
             )
+            for threshold in thresholds
+        }
 
         # circle ids are 1..n in non-increasing radius order.  No domain is
         # ever written in place, so adjacent circles with equal domains

@@ -19,6 +19,34 @@ inequality for both families of tests:
 * relaxed — centers live anywhere inside a cell, separation is measured
   between farthest cell corners and containment by nearest cell point; if no
   assignment passes, no continuous packing exists (lower-bound certificates).
+
+``pair_thresholds`` gives the threshold of every pair of circles, computing
+the exact one once per distinct pair of radii.
+
+Region propagation and the search engine both hold cell sets as bit-packed
+Python ints (``_pack`` / ``_unpack``).  An (nx, ny) mask is stored row-major,
+cell (i, j) at bit i*S + j, with the stride S = max(ny, m) + m + 1 of
+``_stride``, where m is the largest forbidden reach (``forbidden_reach``) of
+the thresholds in use.  Each threshold's forbidden offsets in [-m, m]^2 are
+packed once with the same stride (``_pattern``), offset (di, dj) at bit
+(di + m)*S + (dj + m); the max(., m) term makes S >= 2m + 1, so a pattern
+row fits one stride even when the square is wider than the grid.  Shifted
+by (i - m)*S + (j - m), the pattern puts offset (di, dj) at bit
+(i + di)*S + (j + dj), and one AND finds every cell of a set that lies at a
+forbidden offset from (i, j).
+
+The shift is sound because bits ny..S-1 of each row, the guard columns,
+are never set in a cell set, and S >= ny + m.  The column j + dj lies in
+[-m, ny + m): inside [0, ny) the bit is the cell itself; from ny up it is a
+guard bit of row i + di; below 0 it is guard bit S + j + dj >= S - m > ny
+of row i + di - 1, or lies below bit 0.  A row i + di < 0 puts the offset
+below bit 0, where the shift drops it; a row at or past nx puts it in the
+guard of row nx - 1 or above it, where no bit is set.  So on the cells of
+the grid a shifted pattern is exactly the set of cells at a forbidden offset
+from (i, j), and ANDs of shifted patterns with a cell set are exact however
+many are chained.  A column-major copy (cell (i, j) at bit j*T + i) is the
+same construction on the transposed grid; the forbidden square is symmetric,
+so its pattern is the same square packed with stride T.
 """
 
 from __future__ import annotations
@@ -26,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -38,13 +66,13 @@ __all__ = [
     "Grid",
     "CandidateSet",
     "SeparationFrontier",
-    "bounding_box",
     "build_grid",
     "build_strip_grid",
     "forbidden",
     "forbidden_reach",
     "grid_for_instance",
     "min_sq_steps",
+    "pair_thresholds",
     "restricted_candidates",
     "relaxed_candidates",
     "separation_frontier",
@@ -286,22 +314,6 @@ def restricted_candidates(
     return CandidateSet(circle.id, "restricted", mask)
 
 
-def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
-    """(imin, imax, jmin, jmax) of a mask's True cells, or None when empty."""
-    # boolean axis reductions instead of nonzero, which materializes index
-    # arrays.  Off the search path: region propagation calls it per changed
-    # mask, while the search engine reads its boxes from bit lengths
-    rows = mask.any(axis=1)
-    imin = int(rows.argmax())
-    if not rows[imin]:
-        return None
-    cols = mask.any(axis=0)
-    imax = int(rows.size - 1 - rows[::-1].argmax())
-    jmin = int(cols.argmax())
-    jmax = int(cols.size - 1 - cols[::-1].argmax())
-    return imin, imax, jmin, jmax
-
-
 def _nearest_steps(cell_index: np.ndarray) -> np.ndarray:
     """Distance (in whole cells) from the origin to cell [a, a+1] per axis."""
     return np.maximum(np.maximum(cell_index, 0), -(cell_index + 1))
@@ -368,10 +380,43 @@ def _ceil_isqrt(value: int) -> int:
     return root if root * root == value else root + 1
 
 
+def _ceil_square(num: int, den: int) -> int:
+    """ceil((num / den)^2) for den > 0, in integer arithmetic."""
+    return -(-num * num // (den * den))
+
+
 def min_sq_steps(r_sum: float | Fraction, delta: float | Fraction) -> int:
     """Exact pair threshold ceil((r_sum / delta)^2), in squared lattice steps."""
-    ratio = exact(r_sum) / exact(delta)
-    return math.ceil(ratio * ratio)
+    return _ceil_square(*(exact(r_sum) / exact(delta)).as_integer_ratio())
+
+
+def pair_thresholds(radii: Sequence[float], delta: Fraction) -> list[list[int]]:
+    """``min_sq_steps(exact(r_a) + exact(r_b), delta)`` of every pair of
+    positions a != b in ``radii``, as a symmetric table with 0 on the
+    diagonal.
+
+    Each distinct pair of radii is computed once, keyed on the radius
+    values themselves (hashing two floats is cheap, where building and
+    hashing their exact sum is not), and in plain integers: with
+    r = p/q and delta = d/e, (r_a + r_b) / delta = (p_a q_b + p_b q_a) e /
+    (q_a q_b d) exactly.
+    """
+    n = len(radii)
+    table = [[0] * n for _ in range(n)]
+    ratios = [exact(r).as_integer_ratio() for r in radii]
+    d, e = delta.numerator, delta.denominator
+    memo: dict[tuple, int] = {}
+    for a in range(n):
+        p_a, q_a = ratios[a]
+        for b in range(a + 1, n):
+            key = (radii[a], radii[b]) if radii[a] <= radii[b] else (radii[b], radii[a])
+            threshold = memo.get(key)
+            if threshold is None:
+                p_b, q_b = ratios[b]
+                threshold = _ceil_square((p_a * q_b + p_b * q_a) * e, q_a * q_b * d)
+                memo[key] = threshold
+            table[a][b] = table[b][a] = threshold
+    return table
 
 
 def forbidden(di, dj, min_sq: int, mode: Mode):
@@ -399,6 +444,72 @@ def forbidden_reach(min_sq: int, mode: Mode) -> int:
     s = 0 if mode == "restricted" else 1
     top = min_sq - 1 - s * s
     return math.isqrt(top) - s if top >= s * s else -1
+
+
+# rows that _row_extents cuts off a packed int at a time
+_ROWS_PER_BLOCK = 8
+
+
+def _stride(cells: int, reach: int) -> int:
+    """Row stride of the packed layout for rows of ``cells`` cells and
+    forbidden patterns of reach ``reach`` (module docstring)."""
+    return max(cells, reach) + reach + 1
+
+
+def _pack(mask: np.ndarray, stride: int) -> int:
+    """Bitset of a 2-D bool mask with cell (i, j) at bit i*stride + j;
+    ``stride`` is at least the mask's second dimension."""
+    padded = np.zeros((mask.shape[0], stride), dtype=bool)
+    padded[:, : mask.shape[1]] = mask
+    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, rows: int, stride: int) -> np.ndarray:
+    """The first ``rows`` rows of a bitset packed by ``_pack``: a 0/1
+    uint8 array of shape (rows, stride), guard columns included.  No bit
+    may be set at or above ``rows * stride``."""
+    count = rows * stride
+    raw = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").reshape(rows, stride)
+
+
+def _pattern(min_sq: int, mode: Mode, reach: int, stride: int) -> int:
+    """The forbidden offsets of threshold ``min_sq`` in [-reach, reach]^2,
+    packed with ``stride``: offset (di, dj) at bit (di + reach)*stride +
+    (dj + reach).  ``reach`` is at least the threshold's own reach."""
+    offsets = np.arange(-reach, reach + 1)
+    square = forbidden(offsets[:, None], offsets[None, :], min_sq, mode)
+    return _pack(square, stride)
+
+
+def _row_extents(bits: int, stride: int) -> list[tuple[int, int, int]]:
+    """(i, first, last) for each row i of a packed cell set that holds a
+    cell, in increasing i: the columns of the row's first and last cell.
+
+    One pass over the rows, read from the int's bits; the rows give the
+    set's bounding box and the input of a convex hull.  Rows are cut off
+    the int eight at a time, so each long shift drops eight rows.
+    """
+    extents = []
+    if not bits:
+        return extents
+    i = ((bits & -bits).bit_length() - 1) // stride
+    bits >>= i * stride
+    full = (1 << stride) - 1
+    block = (1 << _ROWS_PER_BLOCK * stride) - 1
+    while bits:
+        rows, row_index = bits & block, i
+        while rows:
+            row = rows & full
+            if row:
+                extents.append(
+                    (row_index, (row & -row).bit_length() - 1, row.bit_length() - 1)
+                )
+            rows >>= stride
+            row_index += 1
+        bits >>= _ROWS_PER_BLOCK * stride
+        i += _ROWS_PER_BLOCK
+    return extents
 
 
 def separation_frontier(

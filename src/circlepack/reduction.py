@@ -12,14 +12,22 @@ The support test is exact integer arithmetic.  A pair of circles with
 threshold ``min_sq`` forbids the cell offsets ``(x, y)`` for which
 ``grid.forbidden`` holds in relaxed mode, ``(|x|+1)^2 + (|y|+1)^2 < min_sq``.
 That is the set of lattice points in a convex region of the plane, because
-``(|x|+1)^2 + (|y|+1)^2`` is a convex function.  So a cell ``p`` has no support from circle ``c`` exactly when
-every vertex of the convex hull of ``c``'s surviving cells lies at a
-forbidden offset from ``p``: then ``p`` minus the whole hull lies in the
-convex region, and with it every surviving cell of ``c``.  The vertices are
-themselves surviving cells, so the converse holds too.  Such a ``p`` is also
-within the pair's reach (``grid.forbidden_reach``) of every vertex along
-each axis, which confines the test to a box that is empty unless ``c``'s
-region is small.
+``(|x|+1)^2 + (|y|+1)^2`` is a convex function.  So a cell ``p`` has no
+support from circle ``c`` exactly when every vertex of the convex hull of
+``c``'s surviving cells lies at a forbidden offset from ``p``: then ``p``
+minus the whole hull lies in the convex region, and with it every surviving
+cell of ``c``.  The vertices are themselves surviving cells, so the
+converse holds too.
+
+Regions are held in the packed layout of ``grid`` (a Python int per
+circle, cell (i, j) at bit i*S + j), where the forbidden offsets of a pair
+threshold are one packed pattern.  The pattern shifted onto a vertex is the
+set of cells at a forbidden offset from it, so the unsupported cells of a
+region are the region ANDed with the pattern shifted onto each hull vertex
+of ``c``.  Four cells of ``c`` are always hull vertices and cost no hull:
+the first cell of its first row, the last cell of its last row, and a
+leftmost and a rightmost cell.  They are ANDed first, and when that leaves
+nothing, which it does unless ``c``'s region is small, the pair is done.
 
 If any circle's region becomes empty, no continuous packing exists at the
 probed container size — an exact lower-bound certificate used both for
@@ -40,11 +48,14 @@ from .geometry import Circle, Instance, exact
 from .grid import (
     Grid,
     _nearest_steps,
-    bounding_box,
-    forbidden,
+    _pack,
+    _pattern,
+    _row_extents,
+    _stride,
+    _unpack,
     forbidden_reach,
     grid_for_instance,
-    min_sq_steps,
+    pair_thresholds,
     relaxed_candidates,
 )
 
@@ -62,11 +73,17 @@ MAX_SWEEPS = 50
 
 @dataclass(frozen=True)
 class RegionMap:
-    """Per-circle bitmaps of surviving center cells at one container size."""
+    """Per-circle bitmaps of surviving center cells at one container size.
+
+    ``sweeps`` is the number of propagation sweeps that produced the map,
+    the last of which changed nothing unless ``MAX_SWEEPS`` stopped it; 0
+    for a map that was not propagated.
+    """
 
     grid: Grid
     size: float
     masks: Mapping[int, np.ndarray]
+    sweeps: int = 0
 
     def cell_count(self, circle_id: int) -> int:
         return int(self.masks[circle_id].sum())
@@ -173,24 +190,26 @@ def build_region_map(
     return RegionMap(grid=grid, size=float(size), masks=masks)
 
 
-def _hull(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Vertices of the convex hull of a nonempty mask's cells, counter-clockwise.
+def _hull(extents: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Vertices of the convex hull of a nonempty cell set, counter-clockwise,
+    from its row extents (``grid._row_extents``: row, first and last column).
 
     Only the first and last cell of each row can be a vertex, so the
-    monotone chain runs over those.  Collinear points are dropped; a single
-    cell or a straight run gives one or two vertices.
+    monotone chain runs over those: from the first cell of the first row
+    along the rows' first cells to the last cell of the last row, and back
+    along their last cells.  Collinear points are dropped; a single cell or
+    a straight run gives one or two vertices.
     """
-    rows = np.flatnonzero(mask.any(axis=1))
-    sub = mask[rows]
-    first = sub.argmax(axis=1)
-    last = mask.shape[1] - 1 - sub[:, ::-1].argmax(axis=1)
-    points = []  # sorted by (i, j): the chain needs lexicographic order
-    for i, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
-        points.append((i, lo))
-        if hi != lo:
-            points.append((i, hi))
-    if len(points) <= 2:
-        return points
+    first_i, first_lo, first_hi = extents[0]
+    last_i, last_lo, last_hi = extents[-1]
+    if len(extents) == 1 and first_lo == first_hi:
+        return [(first_i, first_lo)]
+    forth = [(i, lo) for i, lo, _ in extents]
+    if last_hi != last_lo:
+        forth.append((last_i, last_hi))
+    back = [(i, hi) for i, _, hi in reversed(extents)]
+    if first_hi != first_lo:
+        back.append((first_i, first_lo))
 
     def chain(seq):
         out: list[tuple[int, int]] = []
@@ -203,7 +222,25 @@ def _hull(mask: np.ndarray) -> list[tuple[int, int]]:
             out.append(p)
         return out
 
-    return chain(points)[:-1] + chain(reversed(points))[:-1]
+    return chain(forth)[:-1] + chain(back)[:-1]
+
+
+def _extreme_cells(extents: Sequence[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
+    """Hull vertices of a nonempty cell set read off its row extents: the
+    first cell of the first row, the last cell of the last row, the first
+    leftmost and the first rightmost cell; without repeats."""
+    first_i, first_lo, _ = extents[0]
+    last_i, _, last_hi = extents[-1]
+    firsts = [lo for _, lo, _ in extents]
+    lasts = [hi for _, _, hi in extents]
+    left, right = min(firsts), max(lasts)
+    cells = [
+        (first_i, first_lo),
+        (last_i, last_hi),
+        (extents[firsts.index(left)][0], left),
+        (extents[lasts.index(right)][0], right),
+    ]
+    return tuple(dict.fromkeys(cells))
 
 
 def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None:
@@ -213,74 +250,85 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
     some current cell of c is far enough (farthest-corner test).  The
     forbidden offsets of a pair are the lattice points of a convex set, so a
     cell is unsupported exactly when every convex-hull vertex of c's cells
-    lies at a forbidden offset from it.  Only cells within the pair's reach
-    of all of c's cells along both axes can qualify; the bounding box of c
-    gives that window, and only its cells are tested, against the hull
-    vertices, in int64 arithmetic.  Sweeps update all circles from the same
-    input (double buffering) and stop at a fixpoint or after MAX_SWEEPS.
+    lies at a forbidden offset from it.  Each region is packed once into an
+    int (``grid._pack``) and each pair threshold's forbidden square into a
+    pattern, so the unsupported cells of k are k's int ANDed with the
+    pattern shifted onto each vertex: the four extreme cells of c first,
+    which settle the pair when nothing is left, then the rest of the hull.
+    One scan of the rows of each changed int gives its extreme cells and
+    hull input.  Sweeps update all circles from the same input (double
+    buffering) and stop at a fixpoint or after MAX_SWEEPS; the masks are
+    unpacked once at the end, and the input masks are never written.
     """
     grid = region_map.grid
     ids = sorted(region_map.masks.keys())
     if len(ids) != len(radii):
         raise ValueError("radii count does not match region map")
-    masks = {cid: region_map.masks[cid].copy() for cid in ids}
-    if any(not m.any() for m in masks.values()):
+    if any(not region_map.masks[cid].any() for cid in ids):
         return None
 
-    rq = {cid: exact(radii[pos]) for pos, cid in enumerate(ids)}
-    min_sq: dict[tuple[int, int], int] = {}
-    for a_pos, ca in enumerate(ids):
-        for cb in ids[a_pos + 1 :]:
-            threshold = min_sq_steps(rq[ca] + rq[cb], grid.delta_exact)
-            min_sq[(ca, cb)] = min_sq[(cb, ca)] = threshold
+    n = len(ids)
+    min_sq = pair_thresholds(radii, grid.delta_exact)
+    thresholds = {t for row in min_sq for t in row}
+    reach = max([0, *(forbidden_reach(t, "relaxed") for t in thresholds)])
+    nx, ny = region_map.masks[ids[0]].shape
+    stride = _stride(ny, reach)
+    # one pattern per threshold that forbids some offset
+    patterns = {
+        t: _pattern(t, "relaxed", reach, stride)
+        for t in thresholds
+        if forbidden_reach(t, "relaxed") >= 0
+    }
 
-    boxes = {cid: bounding_box(masks[cid]) for cid in ids}
-    hulls: dict[int, list[tuple[int, int]]] = {}
-    for _ in range(MAX_SWEEPS):
-        new_masks: dict[int, np.ndarray] = {}
-        for ck in ids:
-            # copied before its first deletion, so masks stays this sweep's input
-            keep = masks[ck]
-            for cc in ids:
-                if cc == ck:
-                    continue
-                threshold = min_sq[(ck, cc)]
-                reach = forbidden_reach(threshold, "relaxed")
-                if reach < 0:
-                    continue  # no offset is forbidden: every cell supports
-                imin, imax, jmin, jmax = boxes[cc]
-                i0, i1 = max(imax - reach, 0), imin + reach
-                j0, j1 = max(jmax - reach, 0), jmin + reach
-                if i0 > i1 or j0 > j1:
-                    continue
-                ii, jj = np.nonzero(keep[i0 : i1 + 1, j0 : j1 + 1])
-                if ii.size == 0:
-                    continue
-                if cc not in hulls:
-                    hulls[cc] = _hull(masks[cc])
-                # narrow to the cells that every vertex so far forbids
-                for vi, vj in hulls[cc]:
-                    hit = forbidden(ii - (vi - i0), jj - (vj - j0), threshold, "relaxed")
-                    ii, jj = ii[hit], jj[hit]
-                    if ii.size == 0:
+    def shifted(pattern: int, i: int, j: int) -> int:
+        base = (i - reach) * stride + j - reach
+        return pattern << base if base >= 0 else pattern >> -base
+
+    bits = [_pack(region_map.masks[cid], stride) for cid in ids]
+    extents = [_row_extents(b, stride) for b in bits]
+    extremes = [_extreme_cells(e) for e in extents]
+    hulls: list[list[tuple[int, int]] | None] = [None] * n
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        new_bits = list(bits)
+        for k in range(n):
+            keep = bits[k]
+            for c in range(n):
+                pattern = patterns.get(min_sq[k][c])
+                if pattern is None:
+                    continue  # no offset is forbidden (c == k too): every cell supports
+                hit = keep
+                for vi, vj in extremes[c]:
+                    hit &= shifted(pattern, vi, vj)
+                    if not hit:
                         break
-                if ii.size == 0:
+                if not hit:
                     continue
-                if keep is masks[ck]:
-                    keep = keep.copy()
-                keep[ii + i0, jj + j0] = False
-                if not keep.any():
-                    return None
-            new_masks[ck] = keep
-        changed = [cid for cid in ids if new_masks[cid] is not masks[cid]]
-        masks = new_masks
+                if hulls[c] is None:
+                    hulls[c] = _hull(extents[c])
+                for vertex in hulls[c]:
+                    if vertex not in extremes[c]:
+                        hit &= shifted(pattern, *vertex)
+                        if not hit:
+                            break
+                if hit:
+                    keep ^= hit
+                    if not keep:
+                        return None
+            new_bits[k] = keep
+        changed = [c for c in range(n) if new_bits[c] != bits[c]]
+        bits = new_bits
         if not changed:
             break
-        for cid in changed:
-            boxes[cid] = bounding_box(masks[cid])
-            hulls.pop(cid, None)
+        for c in changed:
+            extents[c] = _row_extents(bits[c], stride)
+            extremes[c] = _extreme_cells(extents[c])
+            hulls[c] = None
 
-    return RegionMap(grid=grid, size=region_map.size, masks=masks)
+    masks = {
+        cid: _unpack(bits[pos], nx, stride)[:, :ny].astype(bool)
+        for pos, cid in enumerate(ids)
+    }
+    return RegionMap(grid=grid, size=region_map.size, masks=masks, sweeps=sweeps)
 
 
 def region_feasible(instance: Instance, size: float, delta_r: float) -> bool:

@@ -26,8 +26,6 @@ from circlepack.feasibility import (
     PruneConfig,
     SolveLimits,
     _Engine,
-    _pack,
-    _unpack,
     assignment_to_placement,
     build_problem,
     solve,
@@ -37,13 +35,23 @@ from circlepack.files import read_instance
 from circlepack.geometry import Instance, StripContainer, exact, verify_placement
 from circlepack.grid import (
     CandidateSet,
-    bounding_box,
+    _pack,
+    _unpack,
     forbidden,
     grid_for_instance,
     sep_holds,
     separation_frontier,
 )
 from circlepack.reduction import build_region_map, propagate
+
+
+def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Oracle: (imin, imax, jmin, jmax) of a mask's True cells, or None when
+    empty, from numpy index arrays."""
+    ii, jj = np.nonzero(mask)
+    if ii.size == 0:
+        return None
+    return int(ii.min()), int(ii.max()), int(jj.min()), int(jj.max())
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +150,7 @@ def _random_tied_problem(rng: np.random.Generator, strip: bool):
 
 def _assert_domain_is(engine: _Engine, domain, mask: np.ndarray) -> None:
     """A packed engine domain holds exactly ``mask``: in both bitsets, with
-    every guard column clear, and with the box of ``grid.bounding_box``."""
+    every guard column clear, and with the box of ``bounding_box``."""
     rows, cols, box = domain
     for bits, grid_mask, stride in (
         (rows, mask, engine.row_stride),

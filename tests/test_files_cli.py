@@ -235,6 +235,39 @@ class TestResultFiles:
             if record["model"] == "region"
         )
 
+    def test_log_region_counters_match_propagation(self, tmp_path, monkeypatch):
+        maps = []
+
+        def recording_propagate(*args, **kwargs):
+            regions = driver_propagate(*args, **kwargs)
+            maps.append(regions)
+            return regions
+
+        driver_propagate = driver.propagate
+        monkeypatch.setattr(driver, "propagate", recording_propagate)
+        instance = Instance.from_radii("eq3", [1.0, 1.0, 1.0])
+        result = run(instance, 0.01, limits=DriverLimits(time_seconds=60))
+        path = write_result(result_payload(instance, result), tmp_path / "eq3.json")
+        log = read_result(path)["log"]
+        regions = [record for record in log if record["model"] == "region"]
+        assert len(regions) == len(maps)
+        assert {record["outcome"] for record in regions} == {"empty", "nonempty"}
+        for record, region_map in zip(regions, maps):
+            if region_map is None:
+                assert record["outcome"] == "empty"
+                assert record["sweeps"] == record["cells"] == 0
+            else:
+                assert record["outcome"] == "nonempty"
+                assert record["sweeps"] == region_map.sweeps >= 1
+                assert record["cells"] == sum(
+                    int(mask.sum()) for mask in region_map.masks.values()
+                ) > 0
+        assert all(
+            record["sweeps"] == record["cells"] == 0
+            for record in log
+            if record["model"] != "region"
+        )
+
     def test_lattice_placement_survives_disk_exactly(self, tmp_path, lattice_run):
         instance, result = lattice_run
         assert any(

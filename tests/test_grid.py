@@ -14,6 +14,8 @@ from circlepack.grid import (
     build_strip_grid,
     forbidden,
     forbidden_reach,
+    min_sq_steps,
+    pair_thresholds,
     relaxed_candidates,
     restricted_candidates,
     sep_holds,
@@ -298,3 +300,49 @@ def test_relaxed_covers_refined_restricted(size, ratio):
         for ci in containing_cells(sx, coarse.cells_x):
             for cj in containing_cells(sy, coarse.cells_y):
                 assert rel.mask[ci, cj], ((i, j), (ci, cj))
+
+
+def _check_pair_thresholds(radii, delta):
+    table = pair_thresholds(radii, delta)
+    n = len(radii)
+    assert len(table) == n and all(len(row) == n for row in table)
+    for a in range(n):
+        assert table[a][a] == 0
+        for b in range(n):
+            if a != b:
+                r_sum = exact(radii[a]) + exact(radii[b])
+                assert table[a][b] == min_sq_steps(r_sum, delta)
+                assert table[a][b] == math.ceil((r_sum / delta) ** 2)
+
+
+@given(
+    st.lists(st.floats(0.05, 5.0), min_size=1, max_size=8),
+    st.fractions(Fraction(1, 50), Fraction(1), max_denominator=1000),
+)
+def test_pair_thresholds_match_min_sq_steps(radii, delta):
+    _check_pair_thresholds(radii, delta)
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        [1.0] * 6,
+        [0.7, 0.7, 0.7, 0.3, 0.3],
+        [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1.0],
+        [0.5, 0.5 + 1e-12, 0.5 - 1e-12],
+    ],
+    ids=["equal", "two-groups", "next-float", "near-tie"],
+)
+@pytest.mark.parametrize("delta", [Fraction(1, 4), exact(0.1)])
+def test_pair_thresholds_equal_and_near_tied_radii(radii, delta):
+    _check_pair_thresholds(radii, delta)
+
+
+def test_pair_thresholds_keep_near_ties_apart():
+    """At delta = 1/4 a radius sum of 2 is exactly 8 cells, so a sum one
+    float above or below it has its own threshold: 65 above, 64 at and
+    below.  A memo that merged near-tied radii would get one of them wrong."""
+    above, below = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    table = pair_thresholds([1.0, above, below, 1.0], Fraction(1, 4))
+    assert table[0][3] == 64 and table[0][2] == 64 and table[0][1] == 65
+    assert table[1][2] == 65  # above + below is 2 plus a half ulp

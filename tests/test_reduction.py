@@ -1,6 +1,7 @@
 """Tests for annulus regions, arc-consistency propagation, and the
 region-emptiness lower-bound certificate."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -13,8 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import circlepack
+from circlepack.files import read_instance
 from circlepack.geometry import Circle, CircleContainer, Instance, exact
-from circlepack.grid import Grid, build_grid
+from circlepack.grid import (
+    Grid,
+    _pack,
+    _pattern,
+    _row_extents,
+    _stride,
+    _unpack,
+    build_grid,
+    forbidden,
+    forbidden_reach,
+    grid_for_instance,
+)
 from circlepack.reduction import (
     MAX_SWEEPS,
     RegionMap,
@@ -25,6 +39,9 @@ from circlepack.reduction import (
     region_feasible,
     write_region_pgm,
 )
+
+
+INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
 
 
 def disc_instance(name, radii):
@@ -318,8 +335,18 @@ def _in_hull(point, hull):
     return True
 
 
+def _numpy_row_extents(mask):
+    """Oracle: (i, first, last) column of each nonempty row, from numpy row
+    reductions."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    sub = mask[rows]
+    first = sub.argmax(axis=1)
+    last = mask.shape[1] - 1 - sub[:, ::-1].argmax(axis=1)
+    return list(zip(rows.tolist(), first.tolist(), last.tolist()))
+
+
 def _check_hull(mask):
-    hull = _hull(mask)
+    hull = _hull(_numpy_row_extents(mask))
     assert hull
     for i, j in hull:
         assert mask[i, j]
@@ -361,6 +388,137 @@ def test_hull_edge_cases(cells, vertices):
 def test_hull_contains_every_cell(mask):
     if mask.any():
         _check_hull(mask)
+
+
+# Real propagate calls of the bundled instances, recorded before regions
+# were bit-packed: (instance, size, grid spacing, theta, surviving cells per
+# circle, digest of the surviving masks, sweeps); None for an EMPTY result.
+PINNED_REGIONS = [
+    # a zimm-10 lb3 probe: 104x104 cells, reach up to 43
+    ("zimm-10", 23.018869304945227, 0.442670563556639, 52,
+     (652, 949, 2208, 2974, 3753, 4606, 5438, 6291, 7104, 7920), "81bf2e0f8a18631e", 3),
+    # eq-07 at its first driver trial, the relaxed-search size
+    ("eq-07", 2.822875655533296, 0.04410743211770775, 64,
+     (1455, 2317, 4474, 4474, 4474, 4474, 4474), "7b879cc4b2b3f74e", 3),
+    # zimm-06 at its first driver trial and at an lb3 probe
+    ("zimm-06", 11.962971908260059, 0.23925943816520118, 50,
+     (317, 406, 1455, 2796, 4450, 6159), "630095815c4f6149", 3),
+    ("zimm-06", 11.962971908260059, 0.4430730336392614, 27,
+     (112, 148, 499, 929, 1416, 1888), "86d86baead268cc7", 3),
+    # strip-c at two refinements, one EMPTY, and at an EMPTY lb3 probe
+    ("strip-c", 12.488930292310283, 0.10071717977669582, 124, None, None, None),
+    ("strip-c", 12.690567149297106, 0.10071878689918339, 126,
+     (94, 11, 11, 2824), "e240294c3c44247b", 3),
+    ("strip-c", 10.795999523497063, 0.44983331347904426, 24, None, None, None),
+    # eq-20 at an lb3 probe: 20 equal circles, one threshold
+    ("eq-20", 5.042580496436345, 0.42021504136969545, 12,
+     (104, 188, *[332] * 18), "d894e6835137e14a", 1),
+]
+
+
+def _digest(masks):
+    h = hashlib.sha256()
+    for cid in sorted(masks):
+        h.update(np.packbits(masks[cid]).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "name, size, delta, theta, counts, digest, sweeps",
+    PINNED_REGIONS,
+    ids=[f"{p[0]}-{p[3]}" for p in PINNED_REGIONS],
+)
+def test_pinned_region_trace(name, size, delta, theta, counts, digest, sweeps):
+    """The surviving cells of real calls are pinned, not only checked
+    against an oracle: cell counts, a digest of the masks and the sweeps."""
+    instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
+    grid = grid_for_instance(instance, size, delta)
+    assert grid.theta == theta
+    base = build_region_map(instance, size, grid)
+    result = propagate(base, instance.radii)
+    if counts is None:
+        assert result is None
+        return
+    assert result is not None
+    assert tuple(result.cell_count(cid) for cid in sorted(result.masks)) == counts
+    assert _digest(result.masks) == digest
+    assert result.sweeps == sweeps
+
+
+@st.composite
+def packed_masks(draw):
+    """A mask with some 1-row, 1-column and non-square shapes, and a reach
+    whose pattern is often wider than the grid (2m + 1 > ny)."""
+    nx = draw(st.integers(1, 9))
+    ny = draw(st.integers(1, 9))
+    mask = draw(arrays(bool, (nx, ny), elements=st.booleans()))
+    return mask, draw(st.integers(0, 12))
+
+
+@pytest.mark.parametrize(
+    "shape, cells",
+    [
+        ((1, 1), [(0, 0)]),
+        ((1, 7), [(0, 0), (0, 6)]),
+        ((1, 7), [(0, 3)]),
+        ((7, 1), [(0, 0), (3, 0), (6, 0)]),
+        ((3, 11), [(0, 10), (2, 0)]),
+        ((11, 3), [(1, 2), (9, 0), (9, 1)]),
+    ],
+    ids=["1x1", "1xn-ends", "1xn-one", "nx1", "wide", "tall"],
+)
+@pytest.mark.parametrize("reach", [0, 1, 6])
+def test_row_extents_edge_cases(shape, cells, reach):
+    mask = _mask(shape, cells)
+    stride = _stride(shape[1], reach)
+    assert _row_extents(_pack(mask, stride), stride) == _numpy_row_extents(mask)
+
+
+@given(packed_masks())
+def test_row_extents_match_numpy(problem):
+    """The row scan gives numpy's first and last column of each nonempty
+    row, hence the mask's bounding box and its hull."""
+    mask, reach = problem
+    stride = _stride(mask.shape[1], reach)
+    extents = _row_extents(_pack(mask, stride), stride)
+    assert extents == _numpy_row_extents(mask)
+    if not mask.any():
+        assert extents == []
+        return
+    ii, jj = np.nonzero(mask)
+    box = (
+        extents[0][0],
+        extents[-1][0],
+        min(lo for _, lo, _ in extents),
+        max(hi for _, _, hi in extents),
+    )
+    assert box == (ii.min(), ii.max(), jj.min(), jj.max())
+
+
+@settings(max_examples=150)
+@given(packed_masks(), st.integers(1, 200), st.integers(0, 2))
+def test_shifted_pattern_is_the_forbidden_set(problem, min_sq, extra):
+    """On the grid's cells, the pattern shifted onto any cell is exactly the
+    cells at a forbidden offset from it, also when the forbidden square is
+    wider than the grid; so ANDs of shifted patterns are exact."""
+    mask, _ = problem
+    nx, ny = mask.shape
+    reach = forbidden_reach(min_sq, "relaxed")
+    if reach < 0:
+        return
+    reach += extra  # the layout may reach further than the threshold
+    stride = _stride(ny, reach)
+    pattern = _pattern(min_sq, "relaxed", reach, stride)
+    bits = _pack(mask, stride)
+    ii, jj = np.indices(mask.shape)
+    for i in range(nx):
+        for j in range(ny):
+            base = (i - reach) * stride + j - reach
+            shifted = pattern << base if base >= 0 else pattern >> -base
+            got = _unpack(bits & shifted, nx, stride)
+            want = mask & forbidden(ii - i, jj - j, min_sq, "relaxed")
+            assert np.array_equal(got[:, :ny], want)
+            assert not got[:, ny:].any()
 
 
 def test_import_does_not_load_scipy_signal():
