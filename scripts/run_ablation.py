@@ -26,7 +26,6 @@ VARIANTS = (
     ("no-reduction", {"use_reduction": False}),
     ("no-lb3", {"use_lb3": False}),
     ("no-lb4", {"use_lb4": False}),
-    ("no-prune-area", {"prune": PruneConfig(area=False)}),
     ("no-prune-farthest", {"prune": PruneConfig(farthest_pair=False)}),
     ("no-prune-conditional", {"prune": PruneConfig(conditional=False)}),
 )

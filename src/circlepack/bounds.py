@@ -664,35 +664,21 @@ def _shelf_strip_centers(instance: Instance) -> dict[int, tuple[float, float]]:
     return out
 
 
-def initial_upper_bound(
-    instance: Instance,
-    best_known_table: Mapping[str, float] | None = None,
-) -> tuple[float, Placement | None]:
-    """Initial upper bound from a bundled table or a certified greedy placement.
+def initial_upper_bound(instance: Instance) -> tuple[float, Placement]:
+    """Initial upper bound from a certified constructive placement.
 
-    Returns the smaller of (a) the table value for this instance name, with
-    no placement, and (b) a constructive placement (greedy tangent
-    candidates for discs, shelf rows for strips, with a tangent-chain
-    fallback) repaired until it passes exact verification.  The returned
-    placement, when present, verifies feasibly at the returned size.
+    The placement comes from greedy tangent candidates for discs, shelf
+    rows for strips, with a tangent-chain fallback, and is repaired until
+    it passes exact verification.  The returned placement always verifies
+    feasibly at the returned size, so the bound carries its certificate.
     """
-    table_value: float | None = None
-    if best_known_table and instance.name in best_known_table:
-        table_value = float(best_known_table[instance.name])
-
     if instance.n == 1:
         radius = instance.radii[0]
         if instance.is_strip:
-            size, placement = _certify_strip_placement(
+            return _certify_strip_placement(
                 instance, {instance.circles[0].id: (radius, radius)}
             )
-        else:
-            size, placement = _certify_disc_placement(
-                instance, {instance.circles[0].id: (0.0, 0.0)}
-            )
-        if table_value is not None and table_value < size:
-            return table_value, None
-        return size, placement
+        return _certify_disc_placement(instance, {instance.circles[0].id: (0.0, 0.0)})
 
     candidates: list[tuple[float, Placement]] = []
     if instance.is_strip:
@@ -704,10 +690,7 @@ def initial_upper_bound(
         greedy = _recenter(instance, greedy)
         candidates.append(_certify_disc_placement(instance, greedy))
         candidates.append(_certify_disc_placement(instance, _chain_disc_centers(instance)))
-    size, placement = min(candidates, key=lambda item: item[0])
-    if table_value is not None and table_value < size:
-        return table_value, None
-    return size, placement
+    return min(candidates, key=lambda item: item[0])
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +708,7 @@ class BoundReport:
     lb4: float | None
     chosen_lb: float
     ub: float
-    ub_placement: Placement | None
+    ub_placement: Placement
     timings: Mapping[str, float]
 
     def as_dict(self) -> dict:
@@ -747,7 +730,6 @@ def compute_bounds(
     use_lb4: bool = True,
     delta_r: float | None = None,
     lb3_tolerance: float | None = None,
-    best_known_table: Mapping[str, float] | None = None,
 ) -> BoundReport:
     """Compute all enabled bounds and join them into a BoundReport.
 
@@ -765,7 +747,7 @@ def compute_bounds(
     timings["lb2"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    ub, placement = initial_upper_bound(instance, best_known_table)
+    ub, placement = initial_upper_bound(instance)
     timings["ub"] = time.perf_counter() - start
 
     value3: float | None = None

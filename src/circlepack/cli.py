@@ -22,13 +22,12 @@ from .files import (
     FileFormatError,
     InstanceFile,
     decode_placement,
-    instance_from_result,
     read_instance,
     read_result,
     result_payload,
     write_result,
 )
-from .geometry import Instance, Placement, verify_placement
+from .geometry import Instance, verify_placement
 from .grid import grid_for_instance
 from .milp import export_milp
 from .render import render_svg
@@ -37,7 +36,6 @@ from .render import render_svg
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lb3", action="store_true", help="skip the region-elimination lower bound")
     parser.add_argument("--no-lb4", action="store_true", help="skip the idle-area lower bound")
-    parser.add_argument("--best-known", metavar="FILE", default=None, help="reference-value table (name value per line)")
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -46,7 +44,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS", help="wall-clock budget")
     _add_bound_flags(parser)
     parser.add_argument("--no-reduction", action="store_true", help="skip region elimination before each model")
-    parser.add_argument("--no-prune-area", action="store_true", help="disable the area pruning rule")
     parser.add_argument("--no-prune-farthest", action="store_true", help="disable the farthest-pair pruning rule")
     parser.add_argument("--no-prune-conditional", action="store_true", help="disable the conditional pruning rule")
     parser.add_argument(
@@ -56,21 +53,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _prune_config(args: argparse.Namespace) -> PruneConfig:
     return PruneConfig(
-        area=not args.no_prune_area,
         farthest_pair=not args.no_prune_farthest,
         conditional=not args.no_prune_conditional,
     )
-
-
-def _reference_table(args: argparse.Namespace) -> dict[str, float]:
-    """Reference values seed bounds only when asked for explicitly.
-
-    An instance file's embedded best_known stays comparison metadata (bench
-    columns, audits); it never silently replaces a certified bound.
-    """
-    if not args.best_known:
-        return {}
-    return dict(load_best_known(args.best_known))
 
 
 def _run_from_args(instance_file: InstanceFile, args: argparse.Namespace) -> RunResult:
@@ -84,7 +69,6 @@ def _run_from_args(instance_file: InstanceFile, args: argparse.Namespace) -> Run
         use_lb3=not args.no_lb3,
         use_lb4=not args.no_lb4,
         prune=_prune_config(args),
-        best_known_table=_reference_table(args) or None,
     )
 
 
@@ -110,12 +94,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     instance_file = read_instance(args.instance)
     instance = instance_file.instance
-    report = compute_bounds(
-        instance,
-        use_lb3=not args.no_lb3,
-        use_lb4=not args.no_lb4,
-        best_known_table=_reference_table(args) or None,
-    )
+    report = compute_bounds(instance, use_lb3=not args.no_lb3, use_lb4=not args.no_lb4)
     payload = {
         "instance": instance.name,
         "n": instance.n,
@@ -273,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not paths:
         print(f"error: no instance files (*.json, *.txt) in {suite}", file=sys.stderr)
         return 1
-    table = load_best_known(args.best_known) if args.best_known else load_best_known()
+    table = load_best_known(args.best_known)
 
     rows: list[dict] = []
     audit_failures: list[str] = []
@@ -365,6 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="solve every instance in a directory and audit the bounds")
     p_bench.add_argument("suite", help="directory of instance files")
     p_bench.add_argument("--out", default=None, help="also write rows as JSON here")
+    p_bench.add_argument(
+        "--best-known", metavar="FILE", default=None,
+        help="audit table of reference values, name and value per line (default: the bundled table)",
+    )
     _add_solver_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Literal
 
 from .bounds import BoundReport, compute_bounds
 from .feasibility import (
@@ -79,13 +79,13 @@ class IterationRecord:
     ``model`` is "region", "restricted", or "relaxed"; ``outcome`` is
     "empty"/"nonempty" for region propagation and the solver status
     otherwise.  ``lower``/``upper`` snapshot the bracket after the event.
-    ``nodes`` is the solver's search-node count, and ``area``,
-    ``farthest_pair`` and ``wipeout`` its per-rule prune counts
-    (``SolveOutcome``); all four are 0 for region events.  ``sweeps`` and
-    ``cells`` are a nonempty region event's propagation sweeps
-    (``RegionMap.sweeps``) and the total of its surviving cells over all
-    circles; both are 0 for an empty region event, whose propagation
-    returns no map, and for search events.
+    ``nodes`` is the solver's search-node count, and ``farthest_pair``
+    and ``wipeout`` its per-rule prune counts (``SolveOutcome``); all
+    three are 0 for region events.  ``sweeps`` and ``cells`` are a
+    nonempty region event's propagation sweeps (``RegionMap.sweeps``) and
+    the total of its surviving cells over all circles; both are 0 for an
+    empty region event, whose propagation returns no map, and for search
+    events.
     """
 
     trial: int
@@ -97,7 +97,6 @@ class IterationRecord:
     lower: float
     upper: float
     nodes: int = 0
-    area: int = 0
     farthest_pair: int = 0
     wipeout: int = 0
     sweeps: int = 0
@@ -114,7 +113,6 @@ class IterationRecord:
             "lower": self.lower,
             "upper": self.upper,
             "nodes": self.nodes,
-            "area": self.area,
             "farthest_pair": self.farthest_pair,
             "wipeout": self.wipeout,
             "sweeps": self.sweeps,
@@ -130,7 +128,7 @@ class SolverState:
     upper: float
     trial_size: float
     delta: float
-    incumbent: Placement | None
+    incumbent: Placement
     log: list[IterationRecord] = field(default_factory=list)
     refinement_count: int = 0
     trials: int = 0
@@ -144,7 +142,7 @@ class RunResult:
     lower: float
     upper: float
     gap: float
-    incumbent: Placement | None
+    incumbent: Placement
     status: Status
     log: tuple[IterationRecord, ...]
     epsilon: float
@@ -219,13 +217,12 @@ def run(
     use_lb3: bool = True,
     use_lb4: bool = True,
     prune: PruneConfig | None = None,
-    best_known_table: Mapping[str, float] | None = None,
 ) -> RunResult:
     """Drive the bisection to a certified epsilon-optimal bracket.
 
-    ``best_known_table`` optionally seeds the upper end of the bracket from
-    reference values (without an incumbent placement); all in-run bound
-    updates still require certificates.
+    Both ends move only on certificates: the seed ``U`` comes with the
+    verified placement of ``initial_upper_bound``, which is the incumbent
+    until a restricted-model packing at a smaller trial size replaces it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -233,12 +230,7 @@ def run(
     started = time.perf_counter()
     deadline = None if limits.time_seconds is None else started + limits.time_seconds
 
-    seed = compute_bounds(
-        instance,
-        use_lb3=use_lb3,
-        use_lb4=use_lb4,
-        best_known_table=best_known_table,
-    )
+    seed = compute_bounds(instance, use_lb3=use_lb3, use_lb4=use_lb4)
     lower0, upper0 = seed.chosen_lb, seed.ub
     if lower0 > upper0 + 1e-9 * max(1.0, upper0):
         raise ValueError(
@@ -283,7 +275,6 @@ def run(
                 lower=state.lower,
                 upper=state.upper,
                 nodes=search.nodes if search else 0,
-                area=search.area if search else 0,
                 farthest_pair=search.farthest_pair if search else 0,
                 wipeout=search.wipeout if search else 0,
                 sweeps=regions.sweeps if regions else 0,

@@ -8,11 +8,8 @@ separation, so when even that fails, no continuous packing exists at the
 probed container size.
 
 Both models are solved by one depth-first engine that assigns circles in
-decreasing-radius order with three individually toggleable pruning rules:
+decreasing-radius order with two individually toggleable pruning rules:
 
-* area — back out of a node when the unassigned circles need more area
-  than the container has left (plus a certified idle-area correction for
-  exactly tangent triples of already assigned circles);
 * farthest pair — back out when even the farthest candidate cells of the
   two largest unassigned circles are closer than their radius sum;
 * conditional elimination — after each assignment delete every candidate
@@ -58,8 +55,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .bounds import idle_area_triple
-from .geometry import Instance, Placement, exact
+from .geometry import Instance, Placement
 from .grid import (
     CandidateSet,
     Grid,
@@ -99,7 +95,6 @@ class SolveLimits:
 class PruneConfig:
     """Which pruning rules the search applies (all sound, all optional)."""
 
-    area: bool = True
     farthest_pair: bool = True
     conditional: bool = True
 
@@ -137,10 +132,9 @@ class SolveOutcome:
     unknown outcome ("timeout" or "node-limit").  A limit hit is always
     reported as unknown, never as infeasible.
 
-    ``area`` and ``farthest_pair`` count the nodes each of those rules cut
-    off; ``wipeout`` counts the conditional eliminations that emptied a
-    domain.  Like ``nodes`` they are deterministic for one problem, limits
-    and pruning.
+    ``farthest_pair`` counts the nodes that rule cuts off; ``wipeout``
+    counts the conditional eliminations that emptied a domain.  Like
+    ``nodes`` they are deterministic for one problem, limits and pruning.
     """
 
     status: Literal["feasible", "infeasible", "unknown"]
@@ -148,7 +142,6 @@ class SolveOutcome:
     reason: str | None = None
     nodes: int = 0
     elapsed: float = 0.0
-    area: int = 0
     farthest_pair: int = 0
     wipeout: int = 0
 
@@ -321,14 +314,6 @@ class _LimitHit(Exception):
         self.reason = reason
 
 
-def _soddy_radius(r_a: float, r_b: float, r_c: float) -> float:
-    """Radius of the largest circle that fits the cusp between three
-    mutually tangent circles (inner Descartes solution)."""
-    inv = 1.0 / r_a + 1.0 / r_b + 1.0 / r_c
-    cross = 1.0 / (r_a * r_b) + 1.0 / (r_b * r_c) + 1.0 / (r_c * r_a)
-    return 1.0 / (inv + 2.0 * math.sqrt(cross))
-
-
 class _Engine:
     """Single-threaded depth-first search over one feasibility problem."""
 
@@ -379,34 +364,6 @@ class _Engine:
             self.min_sq[a - 1][b - 1] = threshold
             self.min_sq[b - 1][a - 1] = threshold
 
-        radii = problem.radii
-        if self.mode == "restricted":
-            self.eff = list(radii)
-        else:
-            shrink = float(grid.delta) * math.sqrt(2.0) / 2.0
-            self.eff = [max(0.0, r - shrink) for r in radii]
-        areas = [math.pi * r * r for r in self.eff]
-        self.prefix_area = [0.0] * (n + 1)
-        for t, a in enumerate(areas):
-            self.prefix_area[t + 1] = self.prefix_area[t] + a
-        total = self.prefix_area[n]
-        self.suffix_area = [total - p for p in self.prefix_area]
-        if grid.kind == "circle":
-            self.container_area = math.pi * grid.size * grid.size
-        else:
-            self.container_area = grid.size * grid.width
-        self.area_margin = 1e-9 * self.container_area
-
-        # exact tangency thresholds (restricted only): squared step count at
-        # which a pair of full circles is exactly tangent, when representable
-        self.tangent_sq: dict[tuple[int, int], int] = {}
-        if self.mode == "restricted" and prune.area:
-            for a, b in combinations(range(n), 2):
-                ratio = (exact(radii[a]) + exact(radii[b])) / grid.delta_exact
-                sq = ratio * ratio
-                if sq.denominator == 1:
-                    self.tangent_sq[(a, b)] = int(sq)
-
         if grid.kind == "circle":
             ref = (float(grid.theta), float(grid.theta))
         else:
@@ -419,9 +376,7 @@ class _Engine:
         self.center_ref = ref
 
         self.positions: list[tuple[int, int] | None] = [None] * n
-        self.idle = 0.0
         self.nodes = 0
-        self.area_prunes = 0
         self.farthest_prunes = 0
         self.wipeouts = 0
         self._next_time_check = 0
@@ -466,10 +421,6 @@ class _Engine:
         order = np.lexsort((jj, ii, key))
         return [(int(ii[o]), int(jj[o])) for o in order]
 
-    def _area_prunes(self, t: int) -> bool:
-        remaining = self.container_area - self.prefix_area[t] - self.idle
-        return self.suffix_area[t] > remaining + self.area_margin
-
     def _farthest_prunes(self, t: int) -> bool:
         """Even the farthest candidates of the two largest unassigned
         circles are too close (bounding-box upper bound on distance)."""
@@ -511,39 +462,6 @@ class _Engine:
             if forbidden(i - pi, j - pj, self.min_sq[u][t], self.mode):
                 return True
         return False
-
-    def _new_idle(self, t: int, i: int, j: int) -> float:
-        """Idle area sealed off by triples of exactly tangent assigned
-        circles that the new assignment completes.
-
-        Counted only when the cusp cannot host even the smallest circle
-        (inner tangent radius below it), so the estimate never over-prunes.
-        """
-        if self.mode != "restricted" or not self.tangent_sq:
-            return 0.0
-        tangent_to_t = []
-        for u in range(t):
-            sq = self.tangent_sq.get((u, t))
-            if sq is None:
-                continue
-            pi, pj = self.positions[u]
-            if (i - pi) ** 2 + (j - pj) ** 2 == sq:
-                tangent_to_t.append(u)
-        if len(tangent_to_t) < 2:
-            return 0.0
-        contrib = 0.0
-        smallest = self.eff[self.n - 1]
-        radii = self.problem.radii
-        for a, b in combinations(tangent_to_t, 2):
-            sq = self.tangent_sq.get((a, b))
-            if sq is None:
-                continue
-            pa, pb = self.positions[a], self.positions[b]
-            if (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 != sq:
-                continue
-            if _soddy_radius(radii[a], radii[b], radii[t]) < smallest * (1 - 1e-9):
-                contrib += idle_area_triple(radii[a], radii[b], radii[t])
-        return contrib
 
     def _leaf(self, t: int) -> bool:
         """Last level: any surviving candidate completes the packing once
@@ -593,9 +511,6 @@ class _Engine:
         return saved, False
 
     def _dfs(self, t: int) -> bool:
-        if self.prune.area and self._area_prunes(t):
-            self.area_prunes += 1
-            return False
         if self.prune.farthest_pair and t + 1 < self.n and self._farthest_prunes(t):
             self.farthest_prunes += 1
             return False
@@ -613,11 +528,7 @@ class _Engine:
             saved, dead = ([], False)
             if self.prune.conditional:
                 saved, dead = self._eliminate(t, i, j)
-            idle_before = self.idle
-            if self.prune.area:
-                self.idle += self._new_idle(t, i, j)
             found = not dead and self._dfs(t + 1)
-            self.idle = idle_before
             for k, domain in saved:
                 masks[k] = domain
             if found:
@@ -644,10 +555,10 @@ class _Engine:
             reason=reason,
             nodes=self.nodes,
             elapsed=elapsed,
-            area=self.area_prunes,
             farthest_pair=self.farthest_prunes,
             wipeout=self.wipeouts,
         )
+
 
 def solve(
     problem: FeasibilityProblem,

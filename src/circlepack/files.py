@@ -200,9 +200,7 @@ def write_instance(
 # result files
 
 
-def encode_placement(placement: Placement | None) -> dict | None:
-    if placement is None:
-        return None
+def encode_placement(placement: Placement) -> dict:
     return {
         "container_size": encode_coordinate(placement.container_size),
         "centers": {

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -68,16 +69,13 @@ __all__ = [
     "write_region_pgm",
 ]
 
-MAX_SWEEPS = 50
-
 
 @dataclass(frozen=True)
 class RegionMap:
     """Per-circle bitmaps of surviving center cells at one container size.
 
     ``sweeps`` is the number of propagation sweeps that produced the map,
-    the last of which changed nothing unless ``MAX_SWEEPS`` stopped it; 0
-    for a map that was not propagated.
+    the last of which changed nothing; 0 for a map that was not propagated.
     """
 
     grid: Grid
@@ -257,8 +255,12 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
     which settle the pair when nothing is left, then the rest of the hull.
     One scan of the rows of each changed int gives its extreme cells and
     hull input.  Sweeps update all circles from the same input (double
-    buffering) and stop at a fixpoint or after MAX_SWEEPS; the masks are
-    unpacked once at the end, and the input masks are never written.
+    buffering) and stop at the fixpoint; the masks are unpacked once at the
+    end, and the input masks are never written.
+
+    Propagation always terminates: cells are only ever removed, and a sweep
+    that neither empties a region nor reaches the fixpoint removes at least
+    one cell, so there are at most (total cells + 1) sweeps.
     """
     grid = region_map.grid
     ids = sorted(region_map.masks.keys())
@@ -288,7 +290,7 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
     extents = [_row_extents(b, stride) for b in bits]
     extremes = [_extreme_cells(e) for e in extents]
     hulls: list[list[tuple[int, int]] | None] = [None] * n
-    for sweeps in range(1, MAX_SWEEPS + 1):
+    for sweeps in count(1):
         new_bits = list(bits)
         for k in range(n):
             keep = bits[k]

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import minimize
 
 import circlepack
-from circlepack.bounds import idle_area_triple, load_best_known
+from circlepack.bounds import idle_area_triple
 from circlepack.driver import DriverLimits, run
 from circlepack.feasibility import (
     PruneConfig,
@@ -36,7 +36,6 @@ from test_feasibility import brute_force_feasible
 from test_milp import enumerate_lp_feasible, parse_lp
 
 INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
-BEST_KNOWN = load_best_known()
 
 # Every run made by this module lands here; the last criterion replays them.
 TRACKED_RUNS: list[tuple[Instance, object]] = []
@@ -73,7 +72,6 @@ def test_criterion_01_five_growing_circles_to_one_percent():
         instance,
         0.01,
         limits=DriverLimits(time_seconds=600.0),
-        best_known_table=BEST_KNOWN,
     )
     assert result.status == "EpsOptimal"
     assert 9.001 <= result.upper <= 9.10
@@ -91,7 +89,6 @@ def test_criterion_02_six_growing_circles_to_one_percent():
         instance,
         0.01,
         limits=DriverLimits(time_seconds=1800.0),
-        best_known_table=BEST_KNOWN,
     )
     assert result.status == "EpsOptimal"
     assert result.upper <= 11.18
@@ -149,7 +146,7 @@ def _random_triple_problem(rng: np.random.Generator):
 
 def test_criterion_05_oracle_equivalence_three_circles():
     rng = np.random.default_rng(20260814)
-    no_pruning = PruneConfig(area=False, farthest_pair=False, conditional=False)
+    no_pruning = PruneConfig(farthest_pair=False, conditional=False)
     agreements = 0
     for _ in range(200):
         instance, grid = _random_triple_problem(rng)
@@ -396,8 +393,8 @@ def test_criterion_11_driver_certificates(bench_results):
 
     assert len(TRACKED_RUNS) >= len(bench_results) + 2
     for instance, result in TRACKED_RUNS:
-        replay_invariants(result)
+        replay_invariants(instance, result)
     print(
         f"criterion 11: PASS  {len(TRACKED_RUNS)} runs replayed: monotone bracket, "
-        "certified moves only, trials within budget"
+        "certified moves only, trials within budget, verified incumbents"
     )

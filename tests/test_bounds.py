@@ -427,20 +427,6 @@ def test_upper_bound_two_circle_chain_exact():
     assert verify_placement(instance, placement, tolerance=0.0).feasible
 
 
-def test_upper_bound_prefers_smaller_table_value():
-    instance = Instance.from_radii("zimm-05", [1, 2, 3, 4, 5])
-    value, placement = initial_upper_bound(instance, {"zimm-05": 9.001})
-    assert value == 9.001
-    assert placement is None
-
-
-def test_upper_bound_ignores_larger_table_value():
-    instance = Instance.from_radii("p", [1, 1])
-    value, placement = initial_upper_bound(instance, {"p": 2.5})
-    assert value == 2.0
-    assert placement is not None
-
-
 def test_upper_bound_seven_unit_circles_is_hexagonal():
     instance = Instance.from_radii("eq-07", [1.0] * 7)
     value, placement = initial_upper_bound(instance)
@@ -512,16 +498,6 @@ def test_compute_bounds_strip_has_no_lb4():
     report = compute_bounds(strip)
     assert report.lb4 is None
     assert report.chosen_lb <= report.ub
-
-
-def test_compute_bounds_uses_best_known_table():
-    report = compute_bounds(
-        Instance.from_radii("zimm-05", [1, 2, 3, 4, 5]),
-        best_known_table={"zimm-05": 9.001},
-    )
-    assert report.ub == 9.001
-    assert report.ub_placement is None
-    assert report.chosen_lb == pytest.approx(9.0)
 
 
 def test_load_best_known_bundled_table():

@@ -4,13 +4,15 @@ The replay helper re-walks a run's iteration log and enforces the
 certificate discipline mechanically: the lower end may rise only at an
 empty region propagation or an exhaustive relaxed infeasibility, the upper
 end may fall only at a verified restricted packing, the bracket stays
-ordered and monotone, and the number of distinct trial sizes never exceeds
-the bisection budget plus perturbations.
+ordered and monotone, the number of distinct trial sizes never exceeds
+the bisection budget plus perturbations, and the final upper end carries
+an incumbent placement that verifies at tolerance zero.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,7 @@ from circlepack.geometry import Instance, verify_placement
 EQ3_OPT = 1.0 + 2.0 / math.sqrt(3.0)  # three unit circles
 
 
-def replay_invariants(result) -> None:
+def replay_invariants(instance, result) -> None:
     lower = min(result.bounds.chosen_lb, result.bounds.ub)
     upper = result.bounds.ub
     for record in result.log:
@@ -44,6 +46,10 @@ def replay_invariants(result) -> None:
         result.epsilon, result.bounds.ub, min(result.bounds.chosen_lb, result.bounds.ub)
     )
     assert result.trials <= budget + result.perturbations
+    incumbent = result.incumbent
+    assert incumbent is not None
+    assert verify_placement(instance, incumbent, tolerance=0.0).feasible
+    assert Fraction(incumbent.container_size) <= Fraction(result.upper)
 
 
 def assert_bracket_contains(result, optimum: float) -> None:
@@ -85,7 +91,7 @@ class TestValidation:
         instance = Instance.from_radii("trio", [1.0, 1.0, 1.0])
         result = run(instance, 0.05, delta0=5.0)
         assert result.status == "EpsOptimal"
-        replay_invariants(result)
+        replay_invariants(instance, result)
 
 
 class TestImmediateConvergence:
@@ -109,27 +115,7 @@ class TestImmediateConvergence:
         assert result.gap <= 0.01
         assert result.incumbent is not None
         assert verify_placement(instance, result.incumbent, tolerance=1e-9).feasible
-        replay_invariants(result)
-
-    def test_best_known_table_seeds_upper(self):
-        instance = Instance.from_radii("seeded", [1.0, 2.0, 3.0, 4.0, 5.0])
-        result = run(instance, 0.01, best_known_table={"seeded": 9.001})
-        assert result.status == "EpsOptimal"
-        assert result.upper == pytest.approx(9.001)
-        assert result.lower >= 9.0 - 1e-9
-        assert result.trials == 0
-        assert result.incumbent is None
-
-    def test_worse_table_value_is_ignored(self):
-        instance = Instance.from_radii("seeded", [1.0, 2.0, 3.0, 4.0, 5.0])
-        result = run(
-            instance,
-            0.2,
-            best_known_table={"seeded": 99.0},
-            limits=DriverLimits(time_seconds=0.0),
-        )
-        assert result.upper < 10.0
-        assert result.incumbent is not None
+        replay_invariants(instance, result)
 
 
 class TestCertifiedRuns:
@@ -146,7 +132,7 @@ class TestCertifiedRuns:
         assert result.lower == pytest.approx(7.0)
         assert result.upper <= 7.0707
         assert_bracket_contains(result, 7.0)
-        replay_invariants(result)
+        replay_invariants(instance, result)
         lowered = [
             r for r in result.log if (r.model, r.outcome) == ("restricted", "feasible")
         ]
@@ -165,7 +151,7 @@ class TestCertifiedRuns:
         assert result.status == "EpsOptimal"
         assert result.gap <= 0.01
         assert_bracket_contains(result, optimum)
-        replay_invariants(result)
+        replay_invariants(instance, result)
         raised = [
             r
             for r in result.log
@@ -180,7 +166,7 @@ class TestCertifiedRuns:
         assert result.status == "EpsOptimal"
         assert result.gap <= 0.02
         assert_bracket_contains(result, EQ3_OPT)
-        replay_invariants(result)
+        replay_invariants(instance, result)
 
 
 class TestSafeguards:
@@ -194,7 +180,7 @@ class TestSafeguards:
         assert result.status == "RefinementCap"
         assert result.perturbations == 8
         assert_bracket_contains(result, EQ3_OPT)
-        replay_invariants(result)
+        replay_invariants(instance, result)
 
     def test_time_limit_returns_seed_bracket(self):
         instance = Instance.from_radii("eq-03", [1.0] * 3)
@@ -214,4 +200,4 @@ class TestSafeguards:
         result = run(instance, 0.005, limits=limits)
         assert result.status in ("RefinementCap", "EpsOptimal")
         assert_bracket_contains(result, EQ3_OPT)
-        replay_invariants(result)
+        replay_invariants(instance, result)

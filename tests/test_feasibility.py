@@ -10,8 +10,7 @@ pruning configuration.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import combinations
+from itertools import product
 from pathlib import Path
 from typing import Mapping
 
@@ -30,7 +29,6 @@ from circlepack.feasibility import (
     build_problem,
     solve,
 )
-from circlepack.bounds import idle_area_triple
 from circlepack.files import read_instance
 from circlepack.geometry import Instance, StripContainer, exact, verify_placement
 from circlepack.grid import (
@@ -267,7 +265,7 @@ class TestSolveExamples:
         grid = grid_for_instance(instance, 1.6, 0.35)
         problem = build_problem(instance, grid, "relaxed")
         assert solve(problem).is_infeasible
-        assert solve(problem, prune=PruneConfig(False, False, False)).is_infeasible
+        assert solve(problem, prune=PruneConfig(farthest_pair=False, conditional=False)).is_infeasible
         assert not brute_force_feasible(problem)
 
     def test_single_circle_centers_at_origin(self):
@@ -282,11 +280,9 @@ class TestSolveExamples:
 # solve: oracle equivalence, pruning neutrality, determinism, limits
 # --------------------------------------------------------------------------
 
-PRUNE_CONFIGS = (
-    PruneConfig(True, True, True),
-    PruneConfig(False, False, False),
-    PruneConfig(True, False, False),
-    PruneConfig(False, False, True),
+PRUNE_CONFIGS = tuple(
+    PruneConfig(farthest_pair=fp, conditional=cond)
+    for fp, cond in product((True, False), repeat=2)
 )
 
 
@@ -348,7 +344,7 @@ class TestSolveAgainstOracle:
 
     def test_exact_tangency_instance_agrees_across_pruning(self):
         # radius sums 3-4-5 admit exactly tangent lattice triples at unit
-        # spacing, exercising the sealed-idle-area branch of the area rule
+        # spacing
         instance = Instance.from_radii("pyth", [3.0, 2.0, 1.0])
         for size in (5.0, 5.5, 6.5):
             grid = grid_for_instance(instance, size, 0.5)
@@ -515,9 +511,9 @@ TRACE_GRIDS = {
     ("zimm-06", 11.060185744266253): 0.12037148853250745,
 }
 TRACE_PRUNES = {
-    "all": PruneConfig(True, True, True),
-    "nocond": PruneConfig(True, True, False),
-    "condonly": PruneConfig(False, False, True),
+    "all": PruneConfig(farthest_pair=True, conditional=True),
+    "nocond": PruneConfig(farthest_pair=True, conditional=False),
+    "condonly": PruneConfig(farthest_pair=False, conditional=True),
 }
 PINNED_TRACES = (
     ("eq-07", 2.822875655533296, "relaxed", "all", 3000, "unknown", 3001,
@@ -628,7 +624,6 @@ class TestPinnedSearchTrace:
         assert tuple(engine.positions) == positions
         assert tuple(rows.bit_count() for rows, _, _ in engine.masks) == left
         config = TRACE_PRUNES[prune]
-        assert (outcome.area > 0) <= config.area
         assert (outcome.farthest_pair > 0) <= config.farthest_pair
         assert (outcome.wipeout > 0) <= config.conditional
         expected = (
@@ -637,40 +632,6 @@ class TestPinnedSearchTrace:
             else None
         )
         assert outcome.assignment == expected
-
-
-class TestEngineInternals:
-    def test_sealed_idle_area_counted_for_exact_tangent_triple(self):
-        instance = Instance.from_radii("pyth", [3.0, 2.0, 1.0])
-        grid = grid_for_instance(instance, 9.0, 0.5)
-        problem = build_problem(instance, grid, "restricted")
-        engine = _Engine(problem, SolveLimits(), PruneConfig())
-        t = grid.theta
-        # mutually tangent right-triangle layout: offsets (8,0), (0,6) at
-        # spacing 0.5 give exact pair distances 4, 3 and 5
-        engine.positions[0] = (t + 8, t)
-        engine.positions[1] = (t, t + 6)
-        got = engine._new_idle(2, t, t)
-        assert got == pytest.approx(idle_area_triple(3.0, 2.0, 1.0), rel=1e-12)
-
-    def test_idle_area_skipped_when_cusp_could_hold_smallest_circle(self):
-        # smallest circle radius below the inner tangent radius of the
-        # (3,2,1) cusp (~0.2609), so sealing the cusp would over-prune
-        instance = Instance.from_radii("pyth4", [3.0, 2.0, 1.0, 0.25])
-        grid = grid_for_instance(instance, 9.0, 0.1)
-        problem = build_problem(instance, grid, "restricted")
-        engine = _Engine(problem, SolveLimits(), PruneConfig())
-        t = grid.theta
-        engine.positions[0] = (t + 40, t)
-        engine.positions[1] = (t, t + 30)
-        assert engine._new_idle(2, t, t) == 0.0
-
-    def test_relaxed_mode_never_counts_idle_area(self):
-        instance = Instance.from_radii("pyth", [3.0, 2.0, 1.0])
-        grid = grid_for_instance(instance, 9.0, 0.5)
-        problem = build_problem(instance, grid, "relaxed")
-        engine = _Engine(problem, SolveLimits(), PruneConfig())
-        assert engine.tangent_sq == {}
 
 
 class TestSolveBehaviour:
@@ -689,8 +650,8 @@ class TestSolveBehaviour:
             assert first.status == second.status
             assert first.assignment == second.assignment
             assert first.nodes == second.nodes
-            counts = (first.area, first.farthest_pair, first.wipeout)
-            assert counts == (second.area, second.farthest_pair, second.wipeout)
+            counts = (first.farthest_pair, first.wipeout)
+            assert counts == (second.farthest_pair, second.wipeout)
 
     def test_node_limit_reports_unknown(self):
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])

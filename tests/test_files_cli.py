@@ -209,14 +209,14 @@ class TestResultFiles:
         def counting_solve(*args, **kwargs):
             outcome = solve(*args, **kwargs)
             totals.append(outcome.nodes)
-            counts.append((outcome.area, outcome.farthest_pair, outcome.wipeout))
+            counts.append((outcome.farthest_pair, outcome.wipeout))
             return outcome
 
         monkeypatch.setattr(driver, "solve", counting_solve)
-        # three unit circles: the run ends on a restricted and a relaxed
-        # infeasibility proof
+        # three unit circles from coarse cells: each trial searches at some
+        # refinements before a region proof ends it
         instance = Instance.from_radii("eq3", [1.0, 1.0, 1.0])
-        result = run(instance, 0.01, limits=DriverLimits(time_seconds=60))
+        result = run(instance, 0.01, delta0=0.08, limits=DriverLimits(time_seconds=60))
         path = write_result(result_payload(instance, result), tmp_path / "eq3.json")
         log = read_result(path)["log"]
         searches = [record for record in log if record["model"] != "region"]
@@ -225,12 +225,12 @@ class TestResultFiles:
         assert all(record["nodes"] == 0 for record in log if record["model"] == "region")
         assert sum(record["nodes"] for record in log) == sum(totals) > 0
         assert [
-            (record["area"], record["farthest_pair"], record["wipeout"])
+            (record["farthest_pair"], record["wipeout"])
             for record in searches
         ] == counts
         assert sum(map(sum, counts)) > 0
         assert all(
-            record["area"] == record["farthest_pair"] == record["wipeout"] == 0
+            record["farthest_pair"] == record["wipeout"] == 0
             for record in log
             if record["model"] == "region"
         )
@@ -246,7 +246,7 @@ class TestResultFiles:
         driver_propagate = driver.propagate
         monkeypatch.setattr(driver, "propagate", recording_propagate)
         instance = Instance.from_radii("eq3", [1.0, 1.0, 1.0])
-        result = run(instance, 0.01, limits=DriverLimits(time_seconds=60))
+        result = run(instance, 0.01, delta0=0.08, limits=DriverLimits(time_seconds=60))
         path = write_result(result_payload(instance, result), tmp_path / "eq3.json")
         log = read_result(path)["log"]
         regions = [record for record in log if record["model"] == "region"]
@@ -357,24 +357,20 @@ class TestSolveCommand:
         assert payload["status"] in ("TimeLimit", "RefinementCap")
         assert payload["lower"] <= payload["upper"]
 
-    def test_best_known_table_seeds_upper(self, tmp_path, capsys):
-        instance = _write_pair(tmp_path)
-        table = tmp_path / "table.txt"
-        table.write_text("pair 7.0\n")
-        out = tmp_path / "seeded.result.json"
-        code = main(
-            ["solve", str(instance), "--best-known", str(table), "--out", str(out)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        assert read_result(out)["upper"] <= 7.0
-
-    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("solve", ["--best-known", "table.txt"]),
+            ("bounds", ["--best-known", "table.txt"]),
+            ("solve", ["--threads", "2"]),
+        ],
+    )
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
         instance = _write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["solve", str(instance), "--threads", "2"])
+            main([command, str(instance), *flag])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestBoundsCommand:

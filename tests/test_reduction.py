@@ -30,7 +30,6 @@ from circlepack.grid import (
     grid_for_instance,
 )
 from circlepack.reduction import (
-    MAX_SWEEPS,
     RegionMap,
     _hull,
     annulus_region,
@@ -226,7 +225,7 @@ def brute_propagate(masks, radii, delta):
     A cell of circle k survives a sweep when every other circle c has a
     current cell whose farthest corners are at least r_k + r_c apart.  Same
     sweep rules as ``propagate``: all circles update from the previous
-    sweep, at most MAX_SWEEPS sweeps, None as soon as a region is empty.
+    sweep until the fixpoint, None as soon as a region is empty.
     """
     ids = sorted(masks)
     r = dict(zip(ids, radii))
@@ -239,7 +238,7 @@ def brute_propagate(masks, radii, delta):
         far_j = (abs(p[1] - q[1]) + 1) * delta
         return far_i * far_i + far_j * far_j >= r_sum * r_sum
 
-    for _ in range(MAX_SWEEPS):
+    while True:
         new = {}
         for k in ids:
             new[k] = {
@@ -254,9 +253,8 @@ def brute_propagate(masks, radii, delta):
             if not new[k]:
                 return None
         if new == cells:
-            break
+            return cells
         cells = new
-    return cells
 
 
 def strip_grid(nx, ny, delta):
@@ -443,6 +441,18 @@ def test_pinned_region_trace(name, size, delta, theta, counts, digest, sweeps):
     assert tuple(result.cell_count(cid) for cid in sorted(result.masks)) == counts
     assert _digest(result.masks) == digest
     assert result.sweeps == sweeps
+
+
+def test_propagate_runs_to_the_fixpoint():
+    """Three unit circles at a driver trial size just below the optimum
+    1 + 2/sqrt(3): the regions shrink by a few cells per sweep and empty
+    only after 60 sweeps, so a sweep cap would stop short with 97 cells
+    left and send the trial on to both searches."""
+    instance = disc_instance("eq3", [1.0] * 3)
+    size, delta = 2.1353629710828557, 0.019337567297550817
+    grid = grid_for_instance(instance, size, delta)
+    assert grid.theta == 111
+    assert propagate(build_region_map(instance, size, grid), instance.radii) is None
 
 
 @st.composite
