@@ -15,7 +15,9 @@ Oracles come first and are independent of the implementation under test:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
+import circlepack
 from circlepack.bounds import (
     BoundReport,
     compute_bounds,
@@ -35,7 +38,10 @@ from circlepack.bounds import (
     lb4,
     load_best_known,
 )
+from circlepack.files import read_instance
 from circlepack.geometry import Instance, StripContainer, verify_placement
+
+INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +449,19 @@ def test_upper_bound_strip_shelf_rows():
     assert value <= 4.01  # two stacked rows beat the three-long chain
 
 
+@pytest.mark.parametrize(
+    "path", sorted(INSTANCE_DIR.glob("*.json")), ids=lambda path: path.stem
+)
+def test_upper_bound_certifies_bundled_instance(path):
+    """The seed upper end is exactly the size of a placement that verifies
+    at tolerance zero, on every bundled disc and strip instance."""
+    instance = read_instance(path).instance
+    value, placement = initial_upper_bound(instance)
+    assert verify_placement(instance, placement, tolerance=0.0).feasible
+    assert Fraction(placement.container_size) == Fraction(value)
+    assert value >= lb1(instance)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.floats(0.5, 3.0), min_size=2, max_size=5))
 def test_upper_bound_placement_always_verifies(radii):
@@ -482,6 +501,14 @@ def test_compute_bounds_report_for_pair():
     assert report.ub_placement is not None
     for key in ("lb1", "lb2", "lb3", "lb4", "ub"):
         assert key in report.timings
+
+
+def test_compute_bounds_ub_is_the_placement_size():
+    instance = Instance.from_radii("zimm-05", [1, 2, 3, 4, 5])
+    report = compute_bounds(instance)
+    assert Fraction(report.ub_placement.container_size) == Fraction(report.ub)
+    assert verify_placement(instance, report.ub_placement, tolerance=0.0).feasible
+    assert report.chosen_lb <= report.ub
 
 
 def test_compute_bounds_toggles_disable_methods():

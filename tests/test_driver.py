@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from circlepack.driver import DriverLimits, bisection_budget, run
-from circlepack.geometry import Instance, verify_placement
+from circlepack.geometry import Instance, StripContainer, verify_placement
 
 EQ3_OPT = 1.0 + 2.0 / math.sqrt(3.0)  # three unit circles
 
@@ -169,6 +169,17 @@ class TestCertifiedRuns:
         replay_invariants(instance, result)
 
 
+    def test_two_circles_in_a_strip(self):
+        """Two unit circles in a strip of width 3: the optimal length is
+        2 + sqrt(3), with the centers at opposite walls."""
+        instance = Instance.from_radii("pair", [1.0, 1.0], StripContainer(width=3.0))
+        result = run(instance, 0.01, limits=DriverLimits(time_seconds=60))
+        assert result.status == "EpsOptimal"
+        assert result.gap <= 0.01
+        assert_bracket_contains(result, 2.0 + math.sqrt(3.0))
+        replay_invariants(instance, result)
+
+
 class TestSafeguards:
     def test_refinement_cap_after_exhausted_perturbations(self):
         """A resolution cap of 24 points per axis cannot certify three unit
@@ -189,6 +200,14 @@ class TestSafeguards:
         assert result.trials == 0
         assert result.log == ()
         assert_bracket_contains(result, EQ3_OPT)
+
+    def test_time_limit_keeps_the_seed_incumbent(self):
+        instance = Instance.from_radii("seeded", [1.0, 2.0, 3.0, 4.0, 5.0])
+        result = run(instance, 0.01, limits=DriverLimits(time_seconds=0.0))
+        assert result.status == "TimeLimit"
+        assert result.upper == result.bounds.ub
+        assert result.incumbent is result.bounds.ub_placement
+        replay_invariants(instance, result)
 
     def test_anytime_bracket_under_small_node_budget(self):
         """Solver node limits leave outcomes unknown; unknowns must never

@@ -268,6 +268,17 @@ class TestResultFiles:
             if record["model"] != "region"
         )
 
+    def test_log_records_carry_exactly_the_event_fields(self, tmp_path, lattice_run):
+        instance, result = lattice_run
+        path = write_result(result_payload(instance, result), tmp_path / "quad.json")
+        log = read_result(path)["log"]
+        assert {record["model"] for record in log} >= {"region", "restricted"}
+        fields = {
+            "trial", "size", "delta", "model", "outcome", "seconds", "lower",
+            "upper", "nodes", "farthest_pair", "wipeout", "sweeps", "cells",
+        }
+        assert all(set(record) == fields for record in log)
+
     def test_lattice_placement_survives_disk_exactly(self, tmp_path, lattice_run):
         instance, result = lattice_run
         assert any(
@@ -357,12 +368,18 @@ class TestSolveCommand:
         assert payload["status"] in ("TimeLimit", "RefinementCap")
         assert payload["lower"] <= payload["upper"]
 
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+        instance = _write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, flag",
         [
             ("solve", ["--best-known", "table.txt"]),
             ("bounds", ["--best-known", "table.txt"]),
-            ("solve", ["--threads", "2"]),
         ],
     )
     def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):

@@ -315,6 +315,25 @@ def test_propagate_matches_brute_force_oracle(problem):
         assert _cells(got.masks[cid]) == cells
 
 
+@settings(max_examples=100)
+@given(region_problems())
+def test_propagate_stops_at_a_fixpoint_within_the_sweep_bound(problem):
+    """A returned map took at most (total cells + 1) sweeps, and propagating
+    it again changes nothing in one sweep."""
+    masks, radii, delta = problem
+    nx, ny = masks[1].shape
+    grid = strip_grid(nx, ny, delta)
+    got = propagate(RegionMap(grid=grid, size=1.0, masks=masks), radii)
+    if got is None:
+        return
+    assert 1 <= got.sweeps <= sum(int(m.sum()) for m in masks.values()) + 1
+    again = propagate(got, radii)
+    assert again is not None
+    assert again.sweeps == 1
+    for cid in masks:
+        assert np.array_equal(again.masks[cid], got.masks[cid])
+
+
 def _in_hull(point, hull):
     """Point-in-convex-polygon for counter-clockwise vertices (k >= 1)."""
     if len(hull) == 1:
