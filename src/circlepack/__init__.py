@@ -33,13 +33,11 @@ from .bounds import (
 from .grid import (
     CandidateSet,
     Grid,
-    SeparationFrontier,
     build_grid,
     build_strip_grid,
     grid_for_instance,
     relaxed_candidates,
     restricted_candidates,
-    sep_holds,
     separation_frontier,
 )
 from .reduction import (
@@ -91,14 +89,12 @@ __all__ = [
     "trivial_bounds",
     "Grid",
     "CandidateSet",
-    "SeparationFrontier",
     "build_grid",
     "build_strip_grid",
     "grid_for_instance",
     "restricted_candidates",
     "relaxed_candidates",
     "separation_frontier",
-    "sep_holds",
     "RegionMap",
     "annulus_region",
     "build_region_map",

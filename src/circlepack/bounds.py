@@ -73,28 +73,19 @@ def lb2(instance: Instance) -> float:
     return math.sqrt(area)
 
 
-def lb3(
-    instance: Instance,
-    delta_r: float | None = None,
-    tolerance: float | None = None,
-    *,
-    upper_seed: float | None = None,
-) -> float:
+def lb3(instance: Instance, *, upper_seed: float | None = None) -> float:
     """Lower bound from bisection on the region-elimination test.
 
     Searches for the largest container size at which the conservative region
-    test already certifies infeasibility.  Sizes where the test passes prove
-    nothing and shrink the search interval from above; only certified-empty
-    sizes raise the returned bound, so the result is always valid.
+    test already certifies infeasibility, at cell spacing 0.45 * the smallest
+    radius, to 1e-3 relative to ``max(lb1, lb2)``.  Sizes where the test
+    passes prove nothing and shrink the search interval from above; only
+    certified-empty sizes raise the returned bound, so the result is always
+    valid.
     """
     base = max(lb1(instance), lb2(instance))
-    if delta_r is None:
-        delta_r = 0.45 * instance.min_radius
-    delta_r = min(delta_r, 0.45 * instance.min_radius)
-    if tolerance is None:
-        tolerance = 1e-3 * base
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    delta_r = 0.45 * instance.min_radius
+    tolerance = 1e-3 * base
     high = trivial_bounds(instance)[1] if upper_seed is None else upper_seed
     certified = base
     while high - certified > tolerance:
@@ -436,18 +427,10 @@ def _certify_strip_placement(
             raise RuntimeError("circle cannot satisfy strip width exactly")
         pts[circle.id] = (x, y)
     for _ in range(_REPAIR_ATTEMPTS):
-        worst = Fraction(0)
-        for a, b in combinations(instance.circles, 2):
-            ax, ay = pts[a.id]
-            bx, by = pts[b.id]
-            dx = Fraction(ax) - Fraction(bx)
-            dy = Fraction(ay) - Fraction(by)
-            dist_sq = dx * dx + dy * dy
-            min_sq = (Fraction(a.radius) + Fraction(b.radius)) ** 2
-            gap = min_sq - dist_sq
-            if gap > worst:
-                worst = gap
-        if worst > 0:
+        scale = _exact_pair_scale(instance, pts)
+        if scale is None:
+            raise RuntimeError("coincident centers in constructed placement")
+        if scale > 1.0:
             # Stretch along the strip axis only; width stays feasible.
             pts = {cid: (x * (1.0 + 1e-12), y) for cid, (x, y) in pts.items()}
             shift = min(x - c.radius for c, (x, _) in ((c, pts[c.id]) for c in instance.circles))
@@ -728,8 +711,6 @@ def compute_bounds(
     *,
     use_lb3: bool = True,
     use_lb4: bool = True,
-    delta_r: float | None = None,
-    lb3_tolerance: float | None = None,
 ) -> BoundReport:
     """Compute all enabled bounds and join them into a BoundReport.
 
@@ -753,9 +734,7 @@ def compute_bounds(
     value3: float | None = None
     value4: float | None = None
     if use_lb3:
-        value3, timings["lb3"] = _timed(
-            lb3, instance, delta_r, lb3_tolerance, upper_seed=ub
-        )
+        value3, timings["lb3"] = _timed(lb3, instance, upper_seed=ub)
     if use_lb4 and not instance.is_strip:
         value4, timings["lb4"] = _timed(lb4, instance, ub)
 

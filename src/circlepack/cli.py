@@ -46,9 +46,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-reduction", action="store_true", help="skip region elimination before each model")
     parser.add_argument("--no-prune-farthest", action="store_true", help="disable the farthest-pair pruning rule")
     parser.add_argument("--no-prune-conditional", action="store_true", help="disable the conditional pruning rule")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized tie-breaking (reserved; recorded in results)"
-    )
 
 
 def _prune_config(args: argparse.Namespace) -> PruneConfig:
@@ -77,7 +74,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = instance_file.instance
     result = _run_from_args(instance_file, args)
     out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.result.json")
-    payload = result_payload(instance, result, tolerance=0.0, seed=args.seed)
+    payload = result_payload(instance, result, tolerance=0.0)
     write_result(payload, out)
     kind = f"strip width {instance.container.width}" if instance.is_strip else "circle"
     print(f"instance       {instance.name} ({kind}, n={instance.n})")
@@ -137,7 +134,9 @@ def _verify_violations(instance: Instance, payload: dict, tolerance: float | Non
 
     tol = float(payload["tolerance"]) if tolerance is None else tolerance
     placement = decode_placement(Path("result"), payload.get("placement"))
-    if placement is not None:
+    if placement is None:
+        violations.append(f"no placement recorded: upper bound {upper} has no certificate")
+    else:
         report = verify_placement(instance, placement, tolerance=tol)
         if not report.feasible:
             violations.append(
@@ -174,9 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for line in violations:
             print(f"  - {line}")
         return 1
-    placement = payload.get("placement")
-    detail = "placement verified" if placement else "no placement recorded (bounds only)"
-    print(f"OK: {args.result} verifies against {args.instance} ({detail})")
+    print(f"OK: {args.result} verifies against {args.instance} (placement verified)")
     return 0
 
 

@@ -61,11 +61,9 @@ from .grid import (
     Grid,
     Mode,
     _pack,
-    _pattern,
-    _stride,
+    _packed_patterns,
     _unpack,
     forbidden,
-    forbidden_reach,
     pair_thresholds,
     relaxed_candidates,
     restricted_candidates,
@@ -333,17 +331,11 @@ class _Engine:
         # strides and forbidden patterns of the packed domains (module
         # docstring); one pattern pair per distinct pair threshold
         thresholds = set(problem.min_sq.values())
-        m = max([0, *(forbidden_reach(s, self.mode) for s in thresholds)])
         nx, ny = problem.domains[1].mask.shape
-        self.reach = m
-        self.row_stride = _stride(ny, m)
-        self.col_stride = _stride(nx, m)
+        self.reach, self.row_stride, rows = _packed_patterns(thresholds, self.mode, ny)
+        _, self.col_stride, cols = _packed_patterns(thresholds, self.mode, nx)
         self.patterns: dict[int, tuple[int, int]] = {
-            threshold: (
-                _pattern(threshold, self.mode, m, self.row_stride),
-                _pattern(threshold, self.mode, m, self.col_stride),
-            )
-            for threshold in thresholds
+            threshold: (rows[threshold], cols[threshold]) for threshold in thresholds
         }
 
         # circle ids are 1..n in non-increasing radius order.  No domain is
@@ -441,6 +433,8 @@ class _Engine:
         One AND of the domain with the threshold's forbidden pattern,
         shifted onto (i, j), finds the conflicting bits (the module
         docstring has the guard-column argument); one XOR clears them.
+        This is the search's hot path, so the two shifts are written out
+        here rather than calling ``grid._shifted``.
         """
         rows, cols, _ = domain
         pattern_rows, pattern_cols = self.patterns[min_sq]

@@ -236,7 +236,6 @@ def result_payload(
     result: RunResult,
     *,
     tolerance: float = 0.0,
-    seed: int | None = None,
 ) -> dict:
     """Full result-file dictionary for a finished run."""
     timings = _bounds_timings(result.bounds)
@@ -268,7 +267,6 @@ def result_payload(
         "perturbations": result.perturbations,
         "log": [record.as_dict() for record in result.log],
         "timings": timings,
-        "seed": seed,
     }
 
 

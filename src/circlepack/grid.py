@@ -21,7 +21,9 @@ inequality for both families of tests:
   assignment passes, no continuous packing exists (lower-bound certificates).
 
 ``pair_thresholds`` gives the threshold of every pair of circles, computing
-the exact one once per distinct pair of radii.
+the exact one once per distinct pair of radii.  ``separation_frontier``, the
+form the LP export needs, is read off ``forbidden`` itself: it walks the
+boundary of the forbidden offsets.
 
 Region propagation and the search engine both hold cell sets as bit-packed
 Python ints (``_pack`` / ``_unpack``).  An (nx, ny) mask is stored row-major,
@@ -30,10 +32,11 @@ cell (i, j) at bit i*S + j, with the stride S = max(ny, m) + m + 1 of
 the thresholds in use.  Each threshold's forbidden offsets in [-m, m]^2 are
 packed once with the same stride (``_pattern``), offset (di, dj) at bit
 (di + m)*S + (dj + m); the max(., m) term makes S >= 2m + 1, so a pattern
-row fits one stride even when the square is wider than the grid.  Shifted
-by (i - m)*S + (j - m), the pattern puts offset (di, dj) at bit
-(i + di)*S + (j + dj), and one AND finds every cell of a set that lies at a
-forbidden offset from (i, j).
+row fits one stride even when the square is wider than the grid.
+``_packed_patterns`` builds m, S and the patterns of a set of thresholds.
+Shifted by (i - m)*S + (j - m) (``_shifted``), the pattern puts offset
+(di, dj) at bit (i + di)*S + (j + dj), and one AND finds every cell of a set
+that lies at a forbidden offset from (i, j).
 
 The shift is sound because bits ny..S-1 of each row, the guard columns,
 are never set in a cell set, and S >= ny + m.  The column j + dj lies in
@@ -54,7 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from itertools import count
+from typing import Collection, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -65,7 +69,6 @@ Mode = Literal["restricted", "relaxed"]
 __all__ = [
     "Grid",
     "CandidateSet",
-    "SeparationFrontier",
     "build_grid",
     "build_strip_grid",
     "forbidden",
@@ -76,7 +79,6 @@ __all__ = [
     "restricted_candidates",
     "relaxed_candidates",
     "separation_frontier",
-    "sep_holds",
 ]
 
 # Relative slack when rounding size/delta_target to an integer cell count:
@@ -167,17 +169,20 @@ class Grid:
         return (x0, y0, x0 + self.delta_exact, y0 + self.delta_exact)
 
 
-def build_grid(size: float, delta_target: float, min_radius: float) -> Grid:
-    """Discretize a disc of radius ``size`` with spacing at most ``delta_target``.
+def _spacing(
+    extent: float, delta_target: float, min_radius: float
+) -> tuple[int, Fraction]:
+    """Cell count ``theta`` and exact spacing ``extent / theta`` for a
+    spacing of at most ``delta_target``.
 
-    The spacing is shrunk so an integer number of cells spans the radius
+    The spacing is shrunk so an integer number of cells spans the extent
     exactly (up to a 1e-9 relative snap when the division already lands on
     an integer).  Requires the cell diagonal to stay below the smallest
     radius, otherwise a relaxed cell could not even hold one center
     candidate distinction and the discretization would be meaningless.
     """
-    if not size > 0:
-        raise ValueError(f"container size must be > 0, got {size}")
+    if not extent > 0:
+        raise ValueError(f"container size must be > 0, got {extent}")
     if not delta_target > 0:
         raise ValueError(f"delta_target must be > 0, got {delta_target}")
     if 2 * exact(delta_target) ** 2 >= exact(min_radius) ** 2:
@@ -185,18 +190,25 @@ def build_grid(size: float, delta_target: float, min_radius: float) -> Grid:
             "cell diagonal %.17g*sqrt(2) must be below the smallest radius %.17g"
             % (delta_target, min_radius)
         )
-    size_exact = exact(size)
-    theta = _snap_ceil(size_exact / exact(delta_target))
-    delta_exact = size_exact / theta
+    extent_exact = exact(extent)
+    theta = _snap_ceil(extent_exact / exact(delta_target))
+    delta_exact = extent_exact / theta
     while 2 * delta_exact**2 >= exact(min_radius) ** 2:
         theta += 1
-        delta_exact = size_exact / theta
+        delta_exact = extent_exact / theta
+    return theta, delta_exact
+
+
+def build_grid(size: float, delta_target: float, min_radius: float) -> Grid:
+    """Discretize a disc of radius ``size`` with spacing at most
+    ``delta_target``; the spacing divides the radius (``_spacing``)."""
+    theta, delta_exact = _spacing(size, delta_target, min_radius)
     return Grid(
         kind="circle",
         size=float(size),
         delta=float(delta_exact),
         theta=theta,
-        size_exact=size_exact,
+        size_exact=exact(size),
         delta_exact=delta_exact,
     )
 
@@ -211,35 +223,20 @@ def build_strip_grid(
     extend one row beyond so the union of cells covers the whole strip
     (required for lower-bound validity).
     """
-    if not length > 0:
-        raise ValueError(f"strip length must be > 0, got {length}")
     if not width > 0:
         raise ValueError(f"strip width must be > 0, got {width}")
-    if not delta_target > 0:
-        raise ValueError(f"delta_target must be > 0, got {delta_target}")
-    if 2 * exact(delta_target) ** 2 >= exact(min_radius) ** 2:
-        raise ValueError(
-            "cell diagonal %.17g*sqrt(2) must be below the smallest radius %.17g"
-            % (delta_target, min_radius)
-        )
-    length_exact = exact(length)
+    theta, delta_exact = _spacing(length, delta_target, min_radius)
     width_exact = exact(width)
-    theta = _snap_ceil(length_exact / exact(delta_target))
-    delta_exact = length_exact / theta
-    while 2 * delta_exact**2 >= exact(min_radius) ** 2:
-        theta += 1
-        delta_exact = length_exact / theta
-    theta_y = _snap_ceil(width_exact / delta_exact)
     return Grid(
         kind="strip",
         size=float(length),
         delta=float(delta_exact),
         theta=theta,
-        size_exact=length_exact,
+        size_exact=exact(length),
         delta_exact=delta_exact,
         width=float(width),
         width_exact=width_exact,
-        theta_y=theta_y,
+        theta_y=_snap_ceil(width_exact / delta_exact),
     )
 
 
@@ -357,29 +354,6 @@ def relaxed_candidates(
     return CandidateSet(circle.id, "relaxed", mask)
 
 
-@dataclass(frozen=True)
-class SeparationFrontier:
-    """Dominance-minimal integer offsets certifying pairwise non-overlap.
-
-    A pair of centers with lattice offset (di, dj) is separated iff some
-    frontier member (u1, u2) has |di| >= u1 and |dj| >= u2, that is iff
-    ``forbidden(di, dj, min_sq_steps, mode)`` is False.  Only the LP export
-    needs the frontier form; the solvers test ``forbidden`` directly.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    mode: Mode
-    min_sq_steps: int
-
-
-def _ceil_isqrt(value: int) -> int:
-    """Smallest integer u with u*u >= value (value >= 0)."""
-    if value <= 0:
-        return 0
-    root = math.isqrt(value)
-    return root if root * root == value else root + 1
-
-
 def _ceil_square(num: int, den: int) -> int:
     """ceil((num / den)^2) for den > 0, in integer arithmetic."""
     return -(-num * num // (den * den))
@@ -482,6 +456,25 @@ def _pattern(min_sq: int, mode: Mode, reach: int, stride: int) -> int:
     return _pack(square, stride)
 
 
+def _packed_patterns(
+    thresholds: Collection[int], mode: Mode, cells: int
+) -> tuple[int, int, dict[int, int]]:
+    """(reach, stride, patterns) of the packed layout for rows of ``cells``
+    cells: the largest forbidden reach of ``thresholds`` (0 when there is
+    none), its row stride and each threshold's pattern, which is 0 for a
+    threshold that forbids no offset."""
+    reach = max([0, *(forbidden_reach(t, mode) for t in thresholds)])
+    stride = _stride(cells, reach)
+    return reach, stride, {t: _pattern(t, mode, reach, stride) for t in thresholds}
+
+
+def _shifted(pattern: int, i: int, j: int, reach: int, stride: int) -> int:
+    """``pattern`` moved onto cell (i, j): the cells at a forbidden offset
+    from (i, j) (module docstring)."""
+    base = (i - reach) * stride + j - reach
+    return pattern << base if base >= 0 else pattern >> -base
+
+
 def _row_extents(bits: int, stride: int) -> list[tuple[int, int, int]]:
     """(i, first, last) for each row i of a packed cell set that holds a
     cell, in increasing i: the columns of the row's first and last cell.
@@ -512,59 +505,25 @@ def _row_extents(bits: int, stride: int) -> list[tuple[int, int, int]]:
     return extents
 
 
-def separation_frontier(
-    r_sum: float, delta: float, mode: Mode, bound: int
-) -> SeparationFrontier:
-    """Minimal offset pairs guaranteeing two circles with radius sum ``r_sum``
-    do not overlap on a grid of spacing ``delta``.
+def separation_frontier(min_sq: int, mode: Mode) -> tuple[tuple[int, int], ...]:
+    """The Pareto-minimal offsets (u1, u2) >= 0 at which ``forbidden``
+    fails for threshold ``min_sq``, in increasing u1.
 
-    Thresholds are exact: min_sq_steps = ceil((r_sum / delta)^2) in rational
-    arithmetic.  Pairs are Pareto-minimal: decrementing any positive
-    coordinate of a member breaks the inequality, and every offset
-    satisfying the inequality dominates some member.
+    An offset (di, dj) is separated, ``forbidden`` False, iff it dominates a
+    member: |di| >= u1 and |dj| >= u2.  The forbidden offsets of a quadrant
+    are closed downwards, so their boundary is a staircase, walked here:
+    u2 starts one past the reach on the u1 = 0 column and, column by column,
+    drops while the offset below it is separated; a column where it drops
+    gives a member.  Only the LP export needs the frontier form; the solvers
+    test ``forbidden`` directly.
     """
-    if not r_sum > 0:
-        raise ValueError(f"r_sum must be > 0, got {r_sum}")
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    ratio = exact(r_sum) / exact(delta)
-    if bound < math.ceil(ratio) + 1:
-        raise ValueError(
-            f"bound {bound} too small for r_sum/delta = {float(ratio):.6g}"
-        )
-    min_sq = min_sq_steps(r_sum, delta)
-
     pairs: list[tuple[int, int]] = []
-    if mode == "restricted":
-        u1 = 0
-        prev = None
-        while True:
-            u2 = _ceil_isqrt(min_sq - u1 * u1)
-            if prev is None or u2 < prev:
-                pairs.append((u1, u2))
-                prev = u2
-            if u2 == 0:
-                break
-            u1 += 1
-    else:
-        u1 = 0
-        prev = None
-        while True:
-            u2 = max(0, _ceil_isqrt(min_sq - (u1 + 1) ** 2) - 1)
-            if (u1 + 1) ** 2 + (u2 + 1) ** 2 >= min_sq:
-                if prev is None or u2 < prev:
-                    pairs.append((u1, u2))
-                    prev = u2
-                if u2 == 0:
-                    break
-            u1 += 1
-
-    if any(u1 > bound or u2 > bound for u1, u2 in pairs):
-        raise ValueError("frontier exceeds the stated index bound")
-    return SeparationFrontier(pairs=tuple(pairs), mode=mode, min_sq_steps=min_sq)
-
-
-def sep_holds(di: int, dj: int, frontier: SeparationFrontier) -> bool:
-    """True iff offset (di, dj) dominates some frontier member."""
-    a, b = abs(di), abs(dj)
-    return any(a >= u1 and b >= u2 for u1, u2 in frontier.pairs)
+    u2 = forbidden_reach(min_sq, mode) + 1
+    for u1 in count():
+        top = u2
+        while u2 and not forbidden(u1, u2 - 1, min_sq, mode):
+            u2 -= 1
+        if not pairs or u2 < top:
+            pairs.append((u1, u2))
+        if not u2:
+            return tuple(pairs)

@@ -18,13 +18,11 @@ so any MILP solver that reads LP files can decide the model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .feasibility import FeasibilityProblem
-from .geometry import exact
 from .grid import Mode, separation_frontier
 
 __all__ = ["BinaryEncoding", "build_encoding", "export_milp"]
@@ -82,19 +80,15 @@ def build_encoding(problem: FeasibilityProblem) -> BinaryEncoding:
     sign_x: dict[tuple[int, int], str] = {}
     sign_y: dict[tuple[int, int], str] = {}
     big_m: dict[tuple[int, int], int] = {}
-    grid = problem.grid
-    for a, b in sorted(problem.min_sq):
-        r_sum = exact(problem.radii[a - 1]) + exact(problem.radii[b - 1])
-        bound = max(grid.max_index, math.ceil(r_sum / grid.delta_exact) + 1)
-        frontier = separation_frontier(r_sum, grid.delta_exact, problem.mode, bound)
+    for (a, b), min_sq in sorted(problem.min_sq.items()):
+        frontier = separation_frontier(min_sq, problem.mode)
         frontier_selectors[(a, b)] = tuple(
-            (f"sep_{a}_{b}_{m}", u1, u2)
-            for m, (u1, u2) in enumerate(frontier.pairs)
+            (f"sep_{a}_{b}_{m}", u1, u2) for m, (u1, u2) in enumerate(frontier)
         )
         sign_x[(a, b)] = f"sgx_{a}_{b}"
         sign_y[(a, b)] = f"sgy_{a}_{b}"
-        max_u = max((max(u1, u2) for u1, u2 in frontier.pairs), default=0)
-        big_m[(a, b)] = grid.max_index + max_u + 1
+        max_u = max(max(u1, u2) for u1, u2 in frontier)
+        big_m[(a, b)] = problem.grid.max_index + max_u + 1
     return BinaryEncoding(
         mode=problem.mode,
         bit_width=width,

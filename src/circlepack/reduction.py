@@ -50,11 +50,10 @@ from .grid import (
     Grid,
     _nearest_steps,
     _pack,
-    _pattern,
+    _packed_patterns,
     _row_extents,
-    _stride,
+    _shifted,
     _unpack,
-    forbidden_reach,
     grid_for_instance,
     pair_thresholds,
     relaxed_candidates,
@@ -128,13 +127,6 @@ def annulus_region(
     return (near2 <= outer_limit) & (far2 >= inner_limit)
 
 
-def _strip_region(circle: Circle, grid: Grid) -> np.ndarray:
-    """Strip containers get plain relaxed containment (no radial structure)."""
-    from .geometry import StripContainer
-
-    return relaxed_candidates(grid, circle, StripContainer(grid.width)).mask.copy()
-
-
 def _symmetry_masks(grid: Grid, n: int) -> dict[int, np.ndarray]:
     """Conservative cell-level symmetry restrictions for circles 1 and 2.
 
@@ -172,7 +164,7 @@ def build_region_map(
     radii = instance.radii
     for circle in instance.circles:
         if instance.is_strip:
-            mask = _strip_region(circle, grid)
+            mask = relaxed_candidates(grid, circle, instance.container).mask
         else:
             if instance.n == 1:
                 ref = 0.0
@@ -271,21 +263,10 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
 
     n = len(ids)
     min_sq = pair_thresholds(radii, grid.delta_exact)
-    thresholds = {t for row in min_sq for t in row}
-    reach = max([0, *(forbidden_reach(t, "relaxed") for t in thresholds)])
     nx, ny = region_map.masks[ids[0]].shape
-    stride = _stride(ny, reach)
-    # one pattern per threshold that forbids some offset
-    patterns = {
-        t: _pattern(t, "relaxed", reach, stride)
-        for t in thresholds
-        if forbidden_reach(t, "relaxed") >= 0
-    }
-
-    def shifted(pattern: int, i: int, j: int) -> int:
-        base = (i - reach) * stride + j - reach
-        return pattern << base if base >= 0 else pattern >> -base
-
+    reach, stride, patterns = _packed_patterns(
+        {t for row in min_sq for t in row}, "relaxed", ny
+    )
     bits = [_pack(region_map.masks[cid], stride) for cid in ids]
     extents = [_row_extents(b, stride) for b in bits]
     extremes = [_extreme_cells(e) for e in extents]
@@ -295,12 +276,12 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
         for k in range(n):
             keep = bits[k]
             for c in range(n):
-                pattern = patterns.get(min_sq[k][c])
-                if pattern is None:
+                pattern = patterns[min_sq[k][c]]
+                if not pattern:
                     continue  # no offset is forbidden (c == k too): every cell supports
                 hit = keep
                 for vi, vj in extremes[c]:
-                    hit &= shifted(pattern, vi, vj)
+                    hit &= _shifted(pattern, vi, vj, reach, stride)
                     if not hit:
                         break
                 if not hit:
@@ -309,7 +290,7 @@ def propagate(region_map: RegionMap, radii: Sequence[float]) -> RegionMap | None
                     hulls[c] = _hull(extents[c])
                 for vertex in hulls[c]:
                     if vertex not in extremes[c]:
-                        hit &= shifted(pattern, *vertex)
+                        hit &= _shifted(pattern, *vertex, reach, stride)
                         if not hit:
                             break
                 if hit:

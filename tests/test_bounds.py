@@ -339,11 +339,6 @@ def test_lb3_stays_below_best_known_for_benchmark_seed():
     assert 9.0 - 1e-12 <= value <= 9.001 + 1e-9
 
 
-def test_lb3_rejects_nonpositive_tolerance():
-    with pytest.raises(ValueError):
-        lb3(Instance.from_radii("p", [3, 4]), None, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # lb4
 # ---------------------------------------------------------------------------

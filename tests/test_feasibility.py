@@ -37,7 +37,7 @@ from circlepack.grid import (
     _unpack,
     forbidden,
     grid_for_instance,
-    sep_holds,
+    min_sq_steps,
     separation_frontier,
 )
 from circlepack.reduction import build_region_map, propagate
@@ -329,13 +329,12 @@ class TestSolveAgainstOracle:
                 ia, ja = outcome.assignment[a]
                 ib, jb = outcome.assignment[b]
                 assert not forbidden(ia - ib, ja - jb, min_sq, "restricted")
-                r_sum = instance.radii[a - 1] + instance.radii[b - 1]
-                bound = grid.max_index + math.ceil(r_sum / grid.delta) + 2
-                frontier = separation_frontier(
-                    r_sum, grid.delta_exact, "restricted", bound
+                r_sum = exact(instance.radii[a - 1]) + exact(instance.radii[b - 1])
+                assert min_sq_steps(r_sum, grid.delta_exact) == min_sq
+                frontier = separation_frontier(min_sq, "restricted")
+                assert any(
+                    abs(ia - ib) >= u1 and abs(ja - jb) >= u2 for u1, u2 in frontier
                 )
-                assert frontier.min_sq_steps == min_sq
-                assert sep_holds(ia - ib, ja - jb, frontier)
             for cid, (i, j) in outcome.assignment.items():
                 assert problem.domains[cid].mask[i, j]
             placement = assignment_to_placement(grid, outcome.assignment)

@@ -188,7 +188,7 @@ def lattice_run():
 class TestResultFiles:
     def test_payload_round_trip(self, tmp_path, pair_run):
         instance, result = pair_run
-        payload = result_payload(instance, result, seed=7)
+        payload = result_payload(instance, result)
         path = write_result(payload, tmp_path / "pair.result.json")
         loaded = read_result(path)
         assert loaded["schema"] == "result/1"
@@ -197,7 +197,7 @@ class TestResultFiles:
         assert loaded["status"] == result.status
         assert loaded["lower"] == result.lower
         assert loaded["upper"] == result.upper
-        assert loaded["seed"] == 7
+        assert "seed" not in loaded
         assert loaded["timings"]["total"] == result.elapsed
         assert [record["model"] for record in loaded["log"]] == [
             record.model for record in result.log
@@ -380,6 +380,8 @@ class TestSolveCommand:
         [
             ("solve", ["--best-known", "table.txt"]),
             ("bounds", ["--best-known", "table.txt"]),
+            ("solve", ["--seed", "0"]),
+            ("bench", ["--seed", "0"]),
         ],
     )
     def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
@@ -462,6 +464,19 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "lower bound" in captured.out
+
+    def test_missing_placement_fails(self, solved, tmp_path, capsys):
+        """An upper bound without the placement that certifies it does not
+        verify, even when every other field is intact."""
+        instance, out = solved
+        payload = json.loads(out.read_text())
+        payload["placement"] = None
+        bare = tmp_path / "bare.result.json"
+        bare.write_text(json.dumps(payload))
+        code = main(["verify", str(instance), str(bare)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "no placement recorded" in captured.out
 
     def test_mismatched_instance_fails(self, solved, tmp_path, capsys):
         _, out = solved

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlepack.geometry import Circle, CircleContainer, StripContainer, exact
@@ -18,7 +18,6 @@ from circlepack.grid import (
     pair_thresholds,
     relaxed_candidates,
     restricted_candidates,
-    sep_holds,
     separation_frontier,
 )
 
@@ -184,30 +183,33 @@ def brute_frontier(min_sq, mode, limit=64):
     return minimal
 
 
+def separated(di, dj, frontier):
+    """Offset (di, dj) dominates some frontier member."""
+    return any(abs(di) >= u1 and abs(dj) >= u2 for u1, u2 in frontier)
+
+
 def test_frontier_restricted_example():
-    fr = separation_frontier(2.5, 1.0, "restricted", bound=8)
-    assert set(fr.pairs) == {(0, 3), (2, 2), (3, 0)}
-    assert set(fr.pairs) == brute_frontier(fr.min_sq_steps, "restricted")
+    min_sq = min_sq_steps(2.5, 1.0)
+    fr = separation_frontier(min_sq, "restricted")
+    assert fr == ((0, 3), (2, 2), (3, 0))
+    assert set(fr) == brute_frontier(min_sq, "restricted")
+    assert separated(-2, 2, fr)
+    assert not separated(1, 2, fr)
+    assert not separated(0, 0, fr)
 
 
 def test_frontier_relaxed_example():
-    fr = separation_frontier(2.5, 1.0, "relaxed", bound=8)
-    assert set(fr.pairs) == {(0, 2), (1, 1), (2, 0)}
-    assert set(fr.pairs) == brute_frontier(fr.min_sq_steps, "relaxed")
+    min_sq = min_sq_steps(2.5, 1.0)
+    fr = separation_frontier(min_sq, "relaxed")
+    assert fr == ((0, 2), (1, 1), (2, 0))
+    assert set(fr) == brute_frontier(min_sq, "relaxed")
 
 
 def test_frontier_touching_circles():
-    fr = separation_frontier(1.0, 1.0, "restricted", bound=4)
-    assert set(fr.pairs) == {(0, 1), (1, 0)}
-    fr2 = separation_frontier(0.75, 1.0, "restricted", bound=4)
-    assert set(fr2.pairs) == {(0, 1), (1, 0)}
-
-
-def test_sep_holds_examples():
-    fr = separation_frontier(2.5, 1.0, "restricted", bound=8)
-    assert sep_holds(-2, 2, fr)
-    assert not sep_holds(1, 2, fr)
-    assert not sep_holds(0, 0, fr)
+    fr = separation_frontier(min_sq_steps(1.0, 1.0), "restricted")
+    assert set(fr) == {(0, 1), (1, 0)}
+    fr2 = separation_frontier(min_sq_steps(0.75, 1.0), "restricted")
+    assert set(fr2) == {(0, 1), (1, 0)}
 
 
 @given(
@@ -216,17 +218,31 @@ def test_sep_holds_examples():
     mode=st.sampled_from(["restricted", "relaxed"]),
 )
 def test_frontier_matches_direct_inequality(r_sum, delta, mode):
-    """sep_holds must agree with the forbidden-offset predicate everywhere."""
+    """Dominating a frontier member agrees with the forbidden-offset
+    predicate everywhere."""
     ratio = r_sum / delta
     if ratio > 24:
         return
     bound = math.ceil(ratio) + 2
-    fr = separation_frontier(r_sum, delta, mode, bound=bound)
+    min_sq = min_sq_steps(r_sum, delta)
+    fr = separation_frontier(min_sq, mode)
     for di in range(-bound - 1, bound + 2):
         for dj in range(-bound - 1, bound + 2):
-            assert sep_holds(di, dj, fr) == (
-                not forbidden(di, dj, fr.min_sq_steps, mode)
-            ), (di, dj)
+            assert separated(di, dj, fr) == (not forbidden(di, dj, min_sq, mode)), (di, dj)
+
+
+@settings(deadline=None)
+@given(
+    min_sq=st.integers(1, 3000),
+    mode=st.sampled_from(["restricted", "relaxed"]),
+)
+def test_frontier_matches_brute_force(min_sq, mode):
+    """The staircase walk gives exactly the Pareto-minimal separated
+    offsets, in increasing u1, none past one beyond the forbidden reach."""
+    fr = separation_frontier(min_sq, mode)
+    assert set(fr) == brute_frontier(min_sq, mode, limit=math.isqrt(min_sq) + 3)
+    assert list(fr) == sorted(fr)
+    assert max(max(pair) for pair in fr) <= forbidden_reach(min_sq, mode) + 1
 
 
 @pytest.mark.parametrize("mode", ["restricted", "relaxed"])

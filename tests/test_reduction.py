@@ -20,8 +20,10 @@ from circlepack.geometry import Circle, CircleContainer, Instance, exact
 from circlepack.grid import (
     Grid,
     _pack,
+    _packed_patterns,
     _pattern,
     _row_extents,
+    _shifted,
     _stride,
     _unpack,
     build_grid,
@@ -542,12 +544,27 @@ def test_shifted_pattern_is_the_forbidden_set(problem, min_sq, extra):
     ii, jj = np.indices(mask.shape)
     for i in range(nx):
         for j in range(ny):
-            base = (i - reach) * stride + j - reach
-            shifted = pattern << base if base >= 0 else pattern >> -base
-            got = _unpack(bits & shifted, nx, stride)
+            got = _unpack(bits & _shifted(pattern, i, j, reach, stride), nx, stride)
             want = mask & forbidden(ii - i, jj - j, min_sq, "relaxed")
             assert np.array_equal(got[:, :ny], want)
             assert not got[:, ny:].any()
+
+
+@pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+@pytest.mark.parametrize("cells", [1, 5, 40])
+def test_packed_patterns_share_one_layout(mode, cells):
+    """One reach and stride for all thresholds, the largest reach among
+    them; a threshold that forbids nothing (0 on the diagonal, 2 in
+    relaxed mode) gets the empty pattern, which callers skip."""
+    thresholds = {0, 1, 2, 17, 50}
+    reach, stride, patterns = _packed_patterns(thresholds, mode, cells)
+    assert reach == forbidden_reach(50, mode)
+    assert stride == _stride(cells, reach)
+    assert set(patterns) == thresholds
+    for t in thresholds:
+        assert patterns[t] == _pattern(t, mode, reach, stride)
+        assert (patterns[t] == 0) == (forbidden_reach(t, mode) < 0)
+    assert _packed_patterns(set(), mode, cells) == (0, _stride(cells, 0), {})
 
 
 def test_import_does_not_load_scipy_signal():
