@@ -13,8 +13,10 @@ value that provably cannot exceed the optimal container size:
   bound of ``lb2``.
 
 The constructive side (``initial_upper_bound``) builds a feasible placement
-greedily and certifies it with exact rational arithmetic, so the returned
-value is a true upper bound, not a float estimate.
+greedily and certifies it exactly, so the returned value is a true upper
+bound, not a float estimate.  The certificate checks (``_exact_pair_scale``
+and ``geometry.verify_placement``) put every center and radius on one common
+denominator and compare integers: squared lengths scaled by its square.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from importlib import resources
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .geometry import Instance, Placement, trivial_bounds, verify_placement
+import numpy as np
+
+from .geometry import Instance, Placement, common_denominator, trivial_bounds, verify_placement
 from .reduction import region_feasible
 
 __all__ = [
@@ -344,25 +348,35 @@ def lb4(
 
 
 def _exact_pair_scale(instance: Instance, centers: dict[int, tuple[float, float]]) -> float | None:
-    """Smallest float factor that removes all exact pairwise overlaps, or None."""
-    worst = Fraction(0)
-    for a, b in combinations(instance.circles, 2):
-        ax, ay = centers[a.id]
-        bx, by = centers[b.id]
-        dx = Fraction(ax) - Fraction(bx)
-        dy = Fraction(ay) - Fraction(by)
+    """Smallest float factor that removes all exact pairwise overlaps, or None.
+
+    The worst ratio min_sq / dist_sq over the pairs is found exactly: the
+    centers and radii are put on one common denominator, where both squares
+    are integers (times the same D^2), and ratios compare by
+    cross-multiplication.
+    """
+    values = []
+    for c in instance.circles:
+        values += [c.radius, *centers[c.id]]
+    _, scaled = common_denominator(values)
+    radii, xs, ys = scaled[0::3], scaled[1::3], scaled[2::3]
+    worst_num, worst_den = 0, 1
+    for a, b in combinations(range(len(radii)), 2):
+        dx = xs[a] - xs[b]
+        dy = ys[a] - ys[b]
         dist_sq = dx * dx + dy * dy
-        min_sq = (Fraction(a.radius) + Fraction(b.radius)) ** 2
         if dist_sq == 0:
             return None
-        ratio = min_sq / dist_sq
-        if ratio > worst:
-            worst = ratio
-    if worst <= 1:
+        reach = radii[a] + radii[b]
+        min_sq = reach * reach
+        if min_sq * worst_den > worst_num * dist_sq:
+            worst_num, worst_den = min_sq, dist_sq
+    if worst_num <= worst_den:
         return 1.0
-    scale = math.sqrt(float(worst))
+    scale = math.sqrt(worst_num / worst_den)
     for _ in range(4):
-        if Fraction(scale) ** 2 >= worst:
+        p, q = scale.as_integer_ratio()
+        if p * p * worst_den >= worst_num * q * q:
             break
         scale = math.nextafter(scale, math.inf)
     return scale
@@ -456,15 +470,6 @@ def _certify_strip_placement(
     raise RuntimeError("failed to certify constructed strip placement")
 
 
-def _enclosing_reach(
-    circles: Sequence, positions: dict[int, tuple[float, float]], center: tuple[float, float]
-) -> float:
-    return max(
-        math.hypot(positions[c.id][0] - center[0], positions[c.id][1] - center[1]) + c.radius
-        for c in circles
-    )
-
-
 def _pair_tangent_positions(
     p: tuple[float, float], rp: float, q: tuple[float, float], rq: float, r: float
 ) -> list[tuple[float, float]]:
@@ -487,21 +492,60 @@ def _pair_tangent_positions(
     return [(mx + h * ux, my + h * uy), (mx - h * ux, my - h * uy)]
 
 
+# Relative margin of a numpy screen: its float error is a few ulps, far
+# inside the margin, so only values within it need the scalar expression.
+_SCREEN = 1e-12
+
+
+def _clear_candidates(
+    candidates: list[tuple[float, float]], limits: list[tuple[float, float, float]]
+) -> list[tuple[float, float]]:
+    """The candidates (x, y), in order, with (x - ox) ** 2 + (y - oy) ** 2 >=
+    limit for every (ox, oy, limit) of ``limits``.
+
+    One numpy test decides every pair whose squared distance is not within
+    ``_SCREEN`` relative of its limit; a candidate with such a pair is
+    decided by the scalar expression itself, so the answer is the scalar one.
+    """
+    points = np.array(candidates)
+    centers = np.array(limits)
+    dx = points[:, 0, None] - centers[:, 0]
+    dy = points[:, 1, None] - centers[:, 1]
+    dist_sq = dx * dx + dy * dy
+    margin = _SCREEN * np.abs(centers[:, 2])
+    hit = (dist_sq < centers[:, 2] - margin).any(axis=1)
+    unsure = (dist_sq < centers[:, 2] + margin).any(axis=1)
+    clear = []
+    for i in np.flatnonzero(~hit):
+        x, y = candidates[i]
+        if unsure[i] and any((x - ox) ** 2 + (y - oy) ** 2 < limit for ox, oy, limit in limits):
+            continue
+        clear.append((x, y))
+    return clear
+
+
 def _greedy_disc_centers(instance: Instance, angles: int = 24) -> dict[int, tuple[float, float]]:
-    """Place circles in decreasing radius, each minimizing the enclosing reach."""
+    """Place circles in decreasing radius, each minimizing the enclosing reach.
+
+    The choice is the least (reach, x, y) key, each rounded to 1e-9.  Only
+    a candidate whose reach is within 1e-8 of the least can share the least
+    rounded reach, so a numpy screen keeps those, in order, for the exact
+    ``min``; its float error is far inside the 1e-8.
+    """
     circles = instance.circles
     positions: dict[int, tuple[float, float]] = {circles[0].id: (0.0, 0.0)}
     placed = [circles[0]]
+    current = circles[0].radius  # the enclosing reach of `placed`
     slack = 1e-9
+    angles_rad = [2.0 * math.pi * k / angles for k in range(angles)]
+    turns = [(math.cos(a), math.sin(a)) for a in angles_rad]
     for circle in circles[1:]:
         r = circle.radius
         candidates: list[tuple[float, float]] = []
         for other in placed:
             ox, oy = positions[other.id]
             dist = other.radius + r
-            for k in range(angles):
-                ang = 2.0 * math.pi * k / angles
-                candidates.append((ox + dist * math.cos(ang), oy + dist * math.sin(ang)))
+            candidates.extend((ox + dist * cos, oy + dist * sin) for cos, sin in turns)
         for first, second in combinations(placed, 2):
             candidates.extend(
                 _pair_tangent_positions(
@@ -512,23 +556,19 @@ def _greedy_disc_centers(instance: Instance, angles: int = 24) -> dict[int, tupl
                     r,
                 )
             )
-        feasible = []
-        for x, y in candidates:
-            ok = True
-            for other in placed:
-                ox, oy = positions[other.id]
-                need = other.radius + r
-                if (x - ox) ** 2 + (y - oy) ** 2 < need * need - slack:
-                    ok = False
-                    break
-            if ok:
-                feasible.append((x, y))
+        limits = [
+            (*positions[other.id], (other.radius + r) * (other.radius + r) - slack)
+            for other in placed
+        ]
+        feasible = _clear_candidates(candidates, limits)
         if not feasible:
-            reach = _enclosing_reach(placed, positions, (0.0, 0.0))
-            feasible = [(reach + r, 0.0)]
-        current = _enclosing_reach(placed, positions, (0.0, 0.0))
+            feasible = [(current + r, 0.0)]
+        points = np.array(feasible)
+        reach = np.maximum(current, np.sqrt(points[:, 0] ** 2 + points[:, 1] ** 2) + r)
+        least = reach.min()
+        near = np.flatnonzero(reach <= least + 1e-8 + _SCREEN * least)
         best = min(
-            feasible,
+            (feasible[i] for i in near),
             key=lambda pos: (
                 round(max(current, math.hypot(pos[0], pos[1]) + r), 9),
                 round(pos[0], 9),
@@ -537,6 +577,7 @@ def _greedy_disc_centers(instance: Instance, angles: int = 24) -> dict[int, tupl
         )
         positions[circle.id] = best
         placed.append(circle)
+        current = max(current, math.hypot(*best) + r)
     return positions
 
 
@@ -545,9 +586,12 @@ def _recenter(instance: Instance, positions: dict[int, tuple[float, float]]) -> 
     from scipy.optimize import minimize
 
     circles = instance.circles
+    discs = [(*positions[c.id], c.radius) for c in circles]
+    hypot = math.hypot
 
     def objective(z):
-        return _enclosing_reach(circles, positions, (z[0], z[1]))
+        zx, zy = float(z[0]), float(z[1])
+        return max([hypot(x - zx, y - zy) + r for x, y, r in discs])
 
     starts = [(0.0, 0.0)]
     starts.append(
@@ -571,33 +615,39 @@ def _recenter(instance: Instance, positions: dict[int, tuple[float, float]]) -> 
 
 
 def _refine_disc(instance: Instance, positions: dict[int, tuple[float, float]]) -> dict[int, tuple[float, float]]:
-    """One coordinate-wise pass pulling circles inward when strictly improving."""
+    """One coordinate-wise pass pulling circles inward when strictly improving.
+
+    Each circle's reach ``|p| + r`` is kept in a list, so a trial move costs
+    one hypot and one max; a max of floats does not depend on order, so this
+    is the enclosing reach of the moved placement.
+    """
     pts = dict(positions)
     circles = instance.circles
-    for circle in circles:
+    reach = [math.hypot(*pts[c.id]) + c.radius for c in circles]
+    for index, circle in enumerate(circles):
         r = circle.radius
+        others = [
+            (*pts[other.id], (other.radius + r) * (other.radius + r))
+            for other in circles
+            if other.id != circle.id
+        ]
         for axis in (0, 1):
             step = 0.25 * instance.min_radius
             while step > 1e-9:
                 x, y = pts[circle.id]
-                current = _enclosing_reach(circles, pts, (0.0, 0.0))
+                current = max(reach)
                 for sign in (-1.0, 1.0):
-                    trial = (x + sign * step, y) if axis == 0 else (x, y + sign * step)
-                    ok = True
-                    for other in circles:
-                        if other.id == circle.id:
-                            continue
-                        ox, oy = pts[other.id]
-                        need = other.radius + r
-                        if (trial[0] - ox) ** 2 + (trial[1] - oy) ** 2 < need * need:
-                            ok = False
+                    tx, ty = (x + sign * step, y) if axis == 0 else (x, y + sign * step)
+                    for ox, oy, need_sq in others:
+                        if (tx - ox) ** 2 + (ty - oy) ** 2 < need_sq:
+                            break  # overlap: try the other sign
+                    else:
+                        kept = reach[index]
+                        reach[index] = math.hypot(tx, ty) + r
+                        if max(reach) < current - 1e-13:
+                            pts[circle.id] = (tx, ty)
                             break
-                    if not ok:
-                        continue
-                    pts[circle.id] = trial
-                    if _enclosing_reach(circles, pts, (0.0, 0.0)) < current - 1e-13:
-                        break
-                    pts[circle.id] = (x, y)
+                        reach[index] = kept
                 else:
                     step *= 0.5
     return pts

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -128,6 +130,9 @@ def _verify_violations(instance: Instance, payload: dict, tolerance: float | Non
 
     lower = float(payload["lower"])
     upper = float(payload["upper"])
+    for name, bound in (("lower", lower), ("upper", upper)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} bound must be finite, got {bound}")
     slack = 1e-9 * max(1.0, upper)
     if lower > upper + slack:
         violations.append(f"lower bound {lower} exceeds upper bound {upper}")
@@ -146,7 +151,7 @@ def _verify_violations(instance: Instance, payload: dict, tolerance: float | Non
             )
             for a, b, amount in report.violating_pairs:
                 violations.append(f"  circles {a} and {b} overlap by {amount:.3g} (squared units)")
-        if float(placement.container_size) > upper * (1.0 + 1e-9) + tol:
+        if Fraction(placement.container_size) > Fraction(upper):
             violations.append(
                 f"placement container size {float(placement.container_size)} exceeds claimed upper bound {upper}"
             )

@@ -5,15 +5,18 @@ is either a disc (whose radius is the quantity being minimized) or a
 rectangular strip of fixed width (whose length is being minimized).  A
 placement assigns a center to every circle at a concrete container size.
 
-Verification is performed in exact rational arithmetic: every input number is
-converted to a `fractions.Fraction` (exact for binary floats), so a placement
-whose coordinates satisfy the constraints exactly is accepted at tolerance 0
-with no rounding leakage.  Overlap and disc-containment comparisons operate on
-squared distances; strip containment is linear per axis.
+Verification is exact integer arithmetic: every input number (centers, radii,
+container size, strip width, tolerance) is read as an exact ratio of integers
+(exact for binary floats) and scaled to one common denominator ``D``, the lcm
+of their denominators, so a placement whose coordinates satisfy the
+constraints exactly is accepted at tolerance 0 with no rounding leakage.
+Overlap and disc-containment comparisons compare squared lengths scaled by
+``D^2``; strip containment is linear per axis, scaled by ``D``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -32,6 +35,7 @@ __all__ = [
     "verify_placement",
     "trivial_bounds",
     "exact",
+    "common_denominator",
 ]
 
 
@@ -170,9 +174,24 @@ class VerificationReport:
     tolerance: float
 
 
-def _signed_square(value: Fraction) -> Fraction:
-    """t * |t| — keeps the sign so negative clearances stay violations."""
-    return value * abs(value)
+def common_denominator(values: Sequence[Coordinate]) -> tuple[int, list[int]]:
+    """One common denominator ``D`` of exact numbers, and each number times ``D``.
+
+    ``D`` is the lcm of the denominators of the numbers read as exact
+    ratios (floats are dyadic), so every ``value * D`` is an integer.
+    Non-finite floats are a ``ValueError``.
+    """
+    ratios = []
+    for value in values:
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {value}")
+            ratios.append(value.as_integer_ratio())
+        else:
+            q = exact(value)
+            ratios.append((q.numerator, q.denominator))
+    den = math.lcm(*(q for _, q in ratios))
+    return den, [p * (den // q) for p, q in ratios]
 
 
 def verify_placement(
@@ -186,57 +205,64 @@ def verify_placement(
     passes disc containment when x^2 + y^2 <= (R - r)(R - r)|sign| +
     tolerance (the signed square makes an oversized circle a violation even
     at the origin) and strip containment when its center stays inside the
-    inset rectangle within tolerance per axis.  All comparisons are exact
-    rational arithmetic; only the reported magnitudes are rounded to float.
+    inset rectangle within tolerance per axis.  Every input is scaled to one
+    common denominator ``D``, so all comparisons are between integers:
+    squared lengths times ``D^2``, strip excesses times ``D``.  Only the
+    reported magnitudes are rounded to float, from the exact rationals.
+    Non-finite inputs are a ``ValueError``.
     """
+    if isinstance(tolerance, float) and not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     missing = [c.id for c in instance.circles if c.id not in placement.centers]
     if missing:
         raise ValueError(f"placement is missing circles {missing}")
 
-    tol = exact(tolerance)
-    size = exact(placement.container_size)
-    points = {
-        c.id: (exact(placement.centers[c.id][0]), exact(placement.centers[c.id][1]))
-        for c in instance.circles
-    }
-    radii = {c.id: exact(c.radius) for c in instance.circles}
-
-    worst_overlap = Fraction(0)
-    violating: list[tuple[int, int, float]] = []
     ordered = [c.id for c in instance.circles]
-    for a_pos, cid in enumerate(ordered):
-        xa, ya = points[cid]
-        for kid in ordered[a_pos + 1 :]:
-            xb, yb = points[kid]
-            gap = (radii[cid] + radii[kid]) ** 2 - ((xa - xb) ** 2 + (ya - yb) ** 2)
+    strip = isinstance(instance.container, StripContainer)
+    values = [tolerance, placement.container_size, instance.container.width if strip else 0]
+    for c in instance.circles:
+        values += [c.radius, *placement.centers[c.id]]
+    den, (tol, size, width, *rest) = common_denominator(values)
+    radii, xs, ys = rest[0::3], rest[1::3], rest[2::3]
+    den_sq = den * den  # int / int rounds correctly, as float(Fraction) does
+    tol_sq = tol * den  # tolerance in D^2-scaled squared units
+
+    worst_overlap = 0
+    violating: list[tuple[int, int, float]] = []
+    for a in range(len(ordered)):
+        xa, ya, ra = xs[a], ys[a], radii[a]
+        for b in range(a + 1, len(ordered)):
+            dx = xa - xs[b]
+            dy = ya - ys[b]
+            reach = ra + radii[b]
+            gap = reach * reach - (dx * dx + dy * dy)
             if gap > worst_overlap:
                 worst_overlap = gap
-            if gap > tol:
-                violating.append((cid, kid, float(gap)))
+            if gap > tol_sq:
+                violating.append((ordered[a], ordered[b], gap / den_sq))
 
-    worst_containment = Fraction(0)
-    if isinstance(instance.container, CircleContainer):
-        for cid in ordered:
-            x, y = points[cid]
-            excess = x * x + y * y - _signed_square(size - radii[cid])
-            if excess > worst_containment:
-                worst_containment = excess
-    else:
-        width = exact(instance.container.width)
-        for cid in ordered:
-            x, y = points[cid]
-            r = radii[cid]
+    worst_containment = 0
+    if strip:
+        for x, y, r in zip(xs, ys, radii):
             for excess in (r - x, x - (size - r), r - y, y - (width - r)):
                 if excess > worst_containment:
                     worst_containment = excess
+        containment_tol, containment_den = tol, den
+    else:
+        for x, y, r in zip(xs, ys, radii):
+            room = size - r
+            excess = x * x + y * y - room * abs(room)
+            if excess > worst_containment:
+                worst_containment = excess
+        containment_tol, containment_den = tol_sq, den_sq
 
-    feasible = worst_overlap <= tol and worst_containment <= tol
+    feasible = worst_overlap <= tol_sq and worst_containment <= containment_tol
     return VerificationReport(
         feasible=feasible,
-        worst_overlap_violation=float(worst_overlap),
-        worst_containment_violation=float(worst_containment),
+        worst_overlap_violation=worst_overlap / den_sq,
+        worst_containment_violation=worst_containment / containment_den,
         violating_pairs=tuple(violating),
         tolerance=tolerance,
     )

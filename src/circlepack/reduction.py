@@ -38,16 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Circle, Instance, exact
+from .geometry import Circle, Instance, common_denominator, exact
 from .grid import (
     Grid,
+    _ceil_square,
     _nearest_steps,
     _pack,
     _packed_patterns,
@@ -93,8 +93,21 @@ def _farthest_steps(cell_index: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(cell_index), np.abs(cell_index + 1))
 
 
+def _annulus_distances(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances, in cell steps, from the origin to the nearest and
+    the farthest point of each cell of a disc grid."""
+    axis = np.arange(grid.cells_x) - grid.theta
+    near = _nearest_steps(axis)
+    far = _farthest_steps(axis)
+    return near[:, None] ** 2 + near[None, :] ** 2, far[:, None] ** 2 + far[None, :] ** 2
+
+
 def annulus_region(
-    circle: Circle, size: float, reference_radius: float, grid: Grid
+    circle: Circle,
+    size: float,
+    reference_radius: float,
+    grid: Grid,
+    distances: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Cells that intersect the admissible annulus for one circle in a disc.
 
@@ -105,25 +118,24 @@ def annulus_region(
     farthest point is outside the inner disc — except that an annulus whose
     inner radius exceeds its outer radius is empty outright (a straddling
     cell would pass both one-sided tests despite containing no annulus
-    point).  All threshold comparisons are exact.
+    point).  The thresholds are exact, in integers on one common denominator
+    of the radius, size and reference radius.  ``distances`` is
+    ``_annulus_distances(grid)``, passed by callers that build many annuli
+    on one grid.
     """
     if grid.kind != "circle":
         raise ValueError("annulus regions apply to disc containers only")
-    shape = (grid.cells_x, grid.cells_y)
-    r = exact(circle.radius)
-    size_q = exact(size)
+    den, (r, size_q, ref) = common_denominator([circle.radius, size, reference_radius])
     outer = size_q - r
-    inner = max(Fraction(0), 2 * exact(reference_radius) + r - size_q)
+    inner = max(0, 2 * ref + r - size_q)
     if outer < 0 or inner > outer:
-        return np.zeros(shape, dtype=bool)
+        return np.zeros((grid.cells_x, grid.cells_y), dtype=bool)
 
-    outer_limit = math.floor((outer / grid.delta_exact) ** 2)
-    inner_limit = math.ceil((inner / grid.delta_exact) ** 2)
-    axis = np.arange(shape[0]) - grid.theta
-    near = _nearest_steps(axis)
-    far = _farthest_steps(axis)
-    near2 = near[:, None] ** 2 + near[None, :] ** 2
-    far2 = far[:, None] ** 2 + far[None, :] ** 2
+    # With delta = d/e, a length x/den is x*e / (den*d) cell steps.
+    d, e = grid.delta_exact.as_integer_ratio()
+    outer_limit = (outer * e) ** 2 // (den * d) ** 2
+    inner_limit = _ceil_square(inner * e, den * d)
+    near2, far2 = _annulus_distances(grid) if distances is None else distances
     return (near2 <= outer_limit) & (far2 >= inner_limit)
 
 
@@ -162,6 +174,7 @@ def build_region_map(
     """Initial per-circle regions: annuli (disc) or containment (strip)."""
     masks: dict[int, np.ndarray] = {}
     radii = instance.radii
+    distances = None if instance.is_strip else _annulus_distances(grid)
     for circle in instance.circles:
         if instance.is_strip:
             mask = relaxed_candidates(grid, circle, instance.container).mask
@@ -172,7 +185,7 @@ def build_region_map(
                 ref = radii[1]
             else:
                 ref = radii[0]
-            mask = annulus_region(circle, size, ref, grid)
+            mask = annulus_region(circle, size, ref, grid, distances)
         masks[circle.id] = mask
     if symmetry:
         for cid, sym in _symmetry_masks(grid, instance.n).items():

@@ -14,6 +14,7 @@ Oracles come first and are independent of the implementation under test:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,9 @@ from scipy.stats import qmc
 import circlepack
 from circlepack.bounds import (
     BoundReport,
+    _exact_pair_scale,
+    _greedy_disc_centers,
+    _pair_tangent_positions,
     compute_bounds,
     idle_area_triple,
     idle_area_with_container,
@@ -476,6 +480,162 @@ def test_upper_bound_strip_placement_always_verifies(radii):
     assert placement is not None
     assert verify_placement(instance, placement, tolerance=0.0).feasible
     assert value >= lb1(instance) - 1e-9
+
+
+# The seed upper bound of every bundled instance, pinned: ``repr`` of the
+# value and a SHA-256 of ``repr(sorted(placement.centers.items()))``.  A
+# faster heuristic or certification kernel must leave both bit for bit.
+PINNED_UPPER_BOUNDS = {
+    "eq-07": (3.0000000000020006, "1add786153084f1b6274657d68046391b1f1fc66bd193b4dcabd099ac9f6e1dd"),
+    "eq-20": (5.613025037873111, "3604c5a8934e86e35d6d0ee003da3c40cee24160ee89df43ec6a0a7c48e9d1d9"),
+    "eq-25": (6.19615242271183, "f63fc92e0851d57d8764bb60dfd1fb6c3b51a632d55f3b596dcb3fa4aafb6e0d"),
+    "eq-30": (6.291502622134474, "cb5fabb01c5255a703f8fa4e2d48eb6ec42d91a984ce2228cb4f2e4410d78015"),
+    "eq-35": (7.000000000006001, "2142ec2b317b5dff95af5c1f661bba774167b30e8cde02cadba72de01fd7e872"),
+    "eq-40": (7.609084656750762, "7db31b643136f89cf2d942e72911cea8c4921aa50459b46a4fcc25d770d2d015"),
+    "strip-a": (10.611775402951558, "66f79ed3ac2e186130b841ee19adcbe2d6b0a8728d9a53646a2c3cfb46b324cb"),
+    "strip-b": (6.000006000000001, "07394c958db74cd712aadb78f284b24e4ce1d425055455c10a415d865bdbceac"),
+    "strip-c": (12.892204006283928, "3c94effd94573df551f988d7a8e45b129728ccb956b577a7d8ac3b1fb7bfdc0a"),
+    "zimm-05": (9.70036315449433, "ecb95666ff41db186b93d98b23763cafbbf0b9632f1f4cc195907cd7a215742b"),
+    "zimm-06": (12.92594381652012, "89d01d5291dc9d1c93b71e7be004829095ba26a46e8cb9ad084797adef4b384e"),
+    "zimm-07": (16.11058608550718, "a40031aa43105ada72ada89d06783e68662dcda121158ab044d6877d134c951b"),
+    "zimm-08": (20.385277155808545, "cd0e61aa68d2babcbb2f3c7af306bd9897f4fb96001df4a1ae47fbed85d75316"),
+    "zimm-09": (23.725068661885842, "384ceac2fa8aeb26eb7d182d853aaabd46ffbef2d18eed6a1221d9d83d203f8e"),
+    "zimm-10": (26.41632173954187, "fb9847c31e410fb1051f7de4966f56ce2797225c3604c0759332712b710e151c"),
+    "zimm-11": (30.1179371975845, "8634a86cd14f8026f02ac685e8cdb4768d29848a2fa650a35b307e9e523cea6f"),
+    "zimm-12": (33.840762958656086, "8d199196db0a9161be2c5c7e95e214f92ca66efee0a8093185d4a211f0465153"),
+    "zimm-13": (35.62875293515064, "4886d422c250e33c8f235287ae1227bb5a20f940bb6dccfd5c7640cdda39d11a"),
+    "zimm-14": (38.36190472450652, "863d75680b0669cb116e962e022ca1a2be9b45b0a601e3469c114e40e8f19257"),
+    "zimm-15": (41.858967633899866, "9cfeab48091ed16ec9af51a4d17e963232fda80f5773137163eb72f820908ed0"),
+    "zimm-16": (45.89674315338504, "bc24860b75efd1f2302f9b4823cb86494c66140c904288b51dd521f4002d3071"),
+    "zimm-17": (50.7977516485223, "90cae864500e2b53f0d3f98f45e84ac84c92d8d3ca3b1af3506a68891d95e413"),
+    "zimm-18": (55.53791463736455, "0b85a2fb6940f10932991533635982bc6ea35cbc0e86eecbd657d378a81b13b0"),
+    "zimm-19": (60.16697154310492, "52445dbb0ff41a4c64dec481000364d2ca6dc5255fd952f091412252bb6f251b"),
+    "zimm-20": (64.96257898811052, "8604a214685182a701b33dac78ae9522c837a8199c882d8283661fec2fca3b1a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_UPPER_BOUNDS))
+def test_upper_bound_is_pinned_on_bundled_instance(name):
+    instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
+    value, placement = initial_upper_bound(instance)
+    pinned_value, pinned_digest = PINNED_UPPER_BOUNDS[name]
+    digest = hashlib.sha256(repr(sorted(placement.centers.items())).encode()).hexdigest()
+    assert repr(value) == repr(pinned_value)
+    assert digest == pinned_digest
+
+
+def test_pins_cover_every_bundled_instance():
+    assert set(PINNED_UPPER_BOUNDS) == {path.stem for path in INSTANCE_DIR.glob("*.json")}
+
+
+def _reference_pair_scale(instance, centers):
+    """``_exact_pair_scale`` written directly in Fraction arithmetic."""
+    worst = Fraction(0)
+    for a, b in combinations(instance.circles, 2):
+        dx = Fraction(centers[a.id][0]) - Fraction(centers[b.id][0])
+        dy = Fraction(centers[a.id][1]) - Fraction(centers[b.id][1])
+        dist_sq = dx * dx + dy * dy
+        if dist_sq == 0:
+            return None
+        worst = max(worst, (Fraction(a.radius) + Fraction(b.radius)) ** 2 / dist_sq)
+    if worst <= 1:
+        return 1.0
+    scale = math.sqrt(float(worst))
+    for _ in range(4):
+        if Fraction(scale) ** 2 >= worst:
+            break
+        scale = math.nextafter(scale, math.inf)
+    return scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.25, 3.0), min_size=2, max_size=6),
+    st.data(),
+)
+def test_exact_pair_scale_matches_rational_reference(radii, data):
+    instance = Instance.from_radii("s", radii)
+    coordinate = st.floats(-6.0, 6.0, allow_nan=False)
+    centers = {c.id: (data.draw(coordinate), data.draw(coordinate)) for c in instance.circles}
+    if data.draw(st.booleans()):
+        centers[instance.n] = centers[1]  # coincident centers give None
+
+    def outcome(scale_of):
+        try:
+            return scale_of(instance, centers)
+        except OverflowError:  # a near-coincident pair: the ratio has no float
+            return OverflowError
+
+    assert outcome(_exact_pair_scale) == outcome(_reference_pair_scale)
+
+
+def test_exact_pair_scale_tangent_and_overlapping_pairs():
+    instance = Instance.from_radii("p", [1.0, 1.0])
+    assert _exact_pair_scale(instance, {1: (-1.0, 0.0), 2: (1.0, 0.0)}) == 1.0
+    centers = {1: (0.0, 0.0), 2: (0.3, 0.1)}
+    scale = _exact_pair_scale(instance, centers)
+    assert scale == _reference_pair_scale(instance, centers)
+    assert isinstance(scale, float) and scale > 1.0
+    assert (Fraction(scale) ** 2) * (Fraction(0.3) ** 2 + Fraction(0.1) ** 2) >= 4
+
+
+def _reference_greedy(instance, angles=24):
+    """``_greedy_disc_centers`` with every candidate tested and keyed by
+    the scalar expressions alone, as the oracle of the numpy screens."""
+    positions = {1: (0.0, 0.0)}
+    placed = [instance.circles[0]]
+    for circle in instance.circles[1:]:
+        r = circle.radius
+        candidates = []
+        for other in placed:
+            ox, oy = positions[other.id]
+            dist = other.radius + r
+            for k in range(angles):
+                ang = 2.0 * math.pi * k / angles
+                candidates.append((ox + dist * math.cos(ang), oy + dist * math.sin(ang)))
+        for first, second in combinations(placed, 2):
+            candidates.extend(
+                _pair_tangent_positions(
+                    positions[first.id], first.radius, positions[second.id], second.radius, r
+                )
+            )
+        feasible = [
+            (x, y)
+            for x, y in candidates
+            if all(
+                (x - positions[o.id][0]) ** 2 + (y - positions[o.id][1]) ** 2
+                >= (o.radius + r) * (o.radius + r) - 1e-9
+                for o in placed
+            )
+        ]
+        current = max(math.hypot(*positions[o.id]) + o.radius for o in placed)
+        feasible = feasible or [(current + r, 0.0)]
+        positions[circle.id] = min(
+            feasible,
+            key=lambda pos: (
+                round(max(current, math.hypot(pos[0], pos[1]) + r), 9),
+                round(pos[0], 9),
+                round(pos[1], 9),
+            ),
+        )
+        placed.append(circle)
+    return positions
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1.0, 1.0 + 3e-10, 2.0]), st.floats(0.5, 3.0)),
+        min_size=2,
+        max_size=12,
+    )
+)
+def test_greedy_screens_match_scalar_reference(radii):
+    """Equal and near-equal radii give ties in the rounded key; the
+    screened greedy must still pick the scalar reference's centers, bit for
+    bit."""
+    instance = Instance.from_radii("g", radii)
+    assert repr(_greedy_disc_centers(instance)) == repr(_reference_greedy(instance))
 
 
 # ---------------------------------------------------------------------------

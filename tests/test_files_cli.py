@@ -478,6 +478,36 @@ class TestVerifyCommand:
         assert code == 1
         assert "no placement recorded" in captured.out
 
+    def test_upper_below_its_certificate_fails(self, solved, tmp_path, capsys):
+        """An upper bound lowered by 5e-10 relative is below the size of
+        the placement that certifies it; the exact comparison catches it."""
+        instance, out = solved
+        payload = json.loads(out.read_text())
+        payload["upper"] = payload["upper"] * (1.0 - 5e-10)
+        bad = tmp_path / "lowered-upper.result.json"
+        bad.write_text(json.dumps(payload))
+        code = main(["verify", str(instance), str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "exceeds claimed upper bound" in captured.out
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tolerance", math.inf), ("upper", math.inf), ("lower", math.nan), ("lower", math.inf)],
+    )
+    def test_non_finite_number_is_a_clean_error(self, solved, tmp_path, capsys, field, value):
+        """A NaN lower bound would otherwise pass every comparison."""
+        instance, out = solved
+        payload = json.loads(out.read_text())
+        payload[field] = value
+        bad = tmp_path / "infinite.result.json"
+        bad.write_text(json.dumps(payload))
+        code = main(["verify", str(instance), str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "finite" in captured.err
+
     def test_mismatched_instance_fails(self, solved, tmp_path, capsys):
         _, out = solved
         other = tmp_path / "other.txt"

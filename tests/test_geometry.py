@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlepack.geometry import (
@@ -13,6 +13,7 @@ from circlepack.geometry import (
     Instance,
     Placement,
     StripContainer,
+    VerificationReport,
     trivial_bounds,
     verify_placement,
 )
@@ -189,3 +190,113 @@ def test_relabeling_equal_circles_preserves_feasibility(n_equal, seed):
     assert base.worst_containment_violation == pytest.approx(
         swapped.worst_containment_violation, abs=1e-12
     )
+
+
+def test_non_finite_tolerance_is_an_error():
+    inst = disc_instance("pair", [1, 1])
+    placement = Placement({1: (-1, 0), 2: (1, 0)}, 2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            verify_placement(inst, placement, tolerance=bad)
+
+
+def test_non_finite_coordinate_is_an_error():
+    inst = disc_instance("pair", [1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        verify_placement(inst, Placement({1: (-1, 0), 2: (math.inf, 0)}, 2))
+
+
+# ---------------------------------------------------------------------------
+# integer kernel against the rational reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_verify(instance, placement, tolerance):
+    """The verifier written directly in Fraction arithmetic, as the oracle."""
+    tol = Fraction(tolerance)
+    size = Fraction(placement.container_size)
+    points = {
+        c.id: (Fraction(placement.centers[c.id][0]), Fraction(placement.centers[c.id][1]))
+        for c in instance.circles
+    }
+    radii = {c.id: Fraction(c.radius) for c in instance.circles}
+    worst_overlap = Fraction(0)
+    violating = []
+    ordered = [c.id for c in instance.circles]
+    for a_pos, cid in enumerate(ordered):
+        xa, ya = points[cid]
+        for kid in ordered[a_pos + 1 :]:
+            xb, yb = points[kid]
+            gap = (radii[cid] + radii[kid]) ** 2 - ((xa - xb) ** 2 + (ya - yb) ** 2)
+            worst_overlap = max(worst_overlap, gap)
+            if gap > tol:
+                violating.append((cid, kid, float(gap)))
+    worst_containment = Fraction(0)
+    if isinstance(instance.container, CircleContainer):
+        for cid in ordered:
+            x, y = points[cid]
+            room = size - radii[cid]
+            worst_containment = max(worst_containment, x * x + y * y - room * abs(room))
+    else:
+        width = Fraction(instance.container.width)
+        for cid in ordered:
+            x, y = points[cid]
+            r = radii[cid]
+            for excess in (r - x, x - (size - r), r - y, y - (width - r)):
+                worst_containment = max(worst_containment, excess)
+    return VerificationReport(
+        feasible=worst_overlap <= tol and worst_containment <= tol,
+        worst_overlap_violation=float(worst_overlap),
+        worst_containment_violation=float(worst_containment),
+        violating_pairs=tuple(violating),
+        tolerance=tolerance,
+    )
+
+
+def _numbers(low, high):
+    """Floats, Fractions and ints in [low, high]: every coordinate type."""
+    return st.one_of(
+        st.floats(low, high, allow_nan=False),
+        st.fractions(low, high, max_denominator=10**6),
+        st.integers(math.ceil(low), math.floor(high)),
+    )
+
+
+@st.composite
+def _placements(draw):
+    radii = draw(st.lists(_numbers(0.25, 2), min_size=1, max_size=6))
+    radii = sorted(radii, reverse=True)
+    if draw(st.booleans()):
+        container = StripContainer(width=2 * Fraction(radii[0]) + Fraction(draw(_numbers(0, 3))))
+    else:
+        container = CircleContainer()
+    inst = Instance("h", tuple(Circle(i + 1, r) for i, r in enumerate(radii)), container)
+    centers = {c.id: (draw(_numbers(-4, 4)), draw(_numbers(-4, 4))) for c in inst.circles}
+    if centers and draw(st.booleans()):
+        centers[inst.n] = centers[1]  # coincident centers: the largest violation
+    size = draw(_numbers(0.5, 8))
+    tolerance = draw(st.one_of(st.just(0), st.just(0.0), _numbers(0, 0.5)))
+    return inst, Placement(centers, size), tolerance
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placements())
+def test_integer_verifier_matches_rational_reference(case):
+    """Every report field, violating pairs included, equals the Fraction
+    reference over float, Fraction and int inputs, discs and strips."""
+    inst, placement, tolerance = case
+    assert verify_placement(inst, placement, tolerance) == _reference_verify(
+        inst, placement, tolerance
+    )
+
+
+def test_integer_verifier_matches_reference_on_violations():
+    """A fixed case with overlap, disc excess and a tolerance that spares
+    one pair: the reference and the kernel agree field by field."""
+    inst = disc_instance("v", [1.0, 0.75, 0.5])
+    placement = Placement({1: (0.1, 0), 2: (Fraction(3, 2), 0), 3: (0, 1.4)}, 2.25)
+    for tolerance in (0, 0.5, 1e-9):
+        report = verify_placement(inst, placement, tolerance)
+        assert report == _reference_verify(inst, placement, tolerance)
+    assert verify_placement(inst, placement, 0).violating_pairs
+    assert not verify_placement(inst, placement, 0).feasible

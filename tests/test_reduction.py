@@ -33,6 +33,7 @@ from circlepack.grid import (
 )
 from circlepack.reduction import (
     RegionMap,
+    _annulus_distances,
     _hull,
     annulus_region,
     build_region_map,
@@ -75,6 +76,27 @@ def test_annulus_reference_example():
     got = {(i, j) for i, j in zip(*np.nonzero(mask))}
     assert got == brute_annulus(grid, 7.0, 6.0, 13.6)
     assert got  # ring is nonempty at this resolution
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radius=st.floats(0.5, 3.0),
+    reference=st.floats(0.5, 3.0),
+    slack=st.floats(-0.5, 2.0),
+    spacing=st.floats(0.4, 0.7),
+)
+def test_annulus_matches_brute_oracle(radius, reference, slack, spacing):
+    """The integer thresholds give the cells of the Fraction oracle, with
+    the distance arrays built per call or passed in once per grid."""
+    size = max(radius, reference) + slack
+    if size <= 0:
+        return
+    grid = build_grid(size, spacing * min(radius, reference), min(radius, reference))
+    mask = annulus_region(Circle(1, radius), size, reference, grid)
+    got = {(i, j) for i, j in zip(*np.nonzero(mask))}
+    assert got == brute_annulus(grid, radius, reference, size)
+    shared = annulus_region(Circle(1, radius), size, reference, grid, _annulus_distances(grid))
+    assert np.array_equal(mask, shared)
 
 
 def test_annulus_degenerates_to_full_disk():
