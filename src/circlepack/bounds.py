@@ -348,7 +348,9 @@ def lb4(
 
 
 def _exact_pair_scale(instance: Instance, centers: dict[int, tuple[float, float]]) -> float | None:
-    """Smallest float factor that removes all exact pairwise overlaps, or None.
+    """Smallest float factor that removes all exact pairwise overlaps, or
+    None when no float factor exists: two centers coincide, or are so close
+    that the worst ratio overflows a float.
 
     The worst ratio min_sq / dist_sq over the pairs is found exactly: the
     centers and radii are put on one common denominator, where both squares
@@ -373,7 +375,10 @@ def _exact_pair_scale(instance: Instance, centers: dict[int, tuple[float, float]
             worst_num, worst_den = min_sq, dist_sq
     if worst_num <= worst_den:
         return 1.0
-    scale = math.sqrt(worst_num / worst_den)
+    try:
+        scale = math.sqrt(worst_num / worst_den)
+    except OverflowError:
+        return None
     for _ in range(4):
         p, q = scale.as_integer_ratio()
         if p * p * worst_den >= worst_num * q * q:
@@ -390,7 +395,7 @@ def _certify_disc_placement(
     for _ in range(_REPAIR_ATTEMPTS):
         scale = _exact_pair_scale(instance, pts)
         if scale is None:
-            raise RuntimeError("coincident centers in constructed placement")
+            raise RuntimeError("coincident or near-coincident centers in constructed placement")
         if scale > 1.0:
             # A bare minimal scale can be cancelled by float rounding; grow
             # by at least 1e-12 relative so one application clears all dirt.
@@ -443,7 +448,7 @@ def _certify_strip_placement(
     for _ in range(_REPAIR_ATTEMPTS):
         scale = _exact_pair_scale(instance, pts)
         if scale is None:
-            raise RuntimeError("coincident centers in constructed placement")
+            raise RuntimeError("coincident or near-coincident centers in constructed placement")
         if scale > 1.0:
             # Stretch along the strip axis only; width stays feasible.
             pts = {cid: (x * (1.0 + 1e-12), y) for cid, (x, y) in pts.items()}

@@ -43,6 +43,17 @@ of the row-major int give the first and last row, those of the
 column-major int the first and last column.  The box is the input of the
 farthest-pair rule and the window in which the candidate order is
 unpacked; an int of 0 is an empty domain.
+
+Most clears that empty a domain are decided from its box alone, before
+the AND.  ``forbidden`` is monotone in |di| and |dj| in both modes: its
+left side, (|di| + s)^2 + (|dj| + s)^2 with s = 0 or 1, only grows with
+either.  Every candidate of a domain with box (i0, i1, j0, j1) lies at an
+offset from (i, j) of at most a = max(i - i0, i1 - i) rows and
+b = max(j - j0, j1 - j) columns, the offset of the box corner farthest
+from (i, j).  So when forbidden(a, b) holds, every candidate conflicts,
+the AND would clear them all, and the domain empties with no big-int
+operation.  When it does not hold the AND runs, so the test changes no
+decision and no count.
 """
 
 from __future__ import annotations
@@ -371,7 +382,7 @@ class _Engine:
         self.nodes = 0
         self.farthest_prunes = 0
         self.wipeouts = 0
-        self._next_time_check = 0
+        self._next_check = 0
         self._deadline = (
             time.monotonic() + limits.time_seconds
             if limits.time_seconds is not None
@@ -392,12 +403,20 @@ class _Engine:
 
     def _tick(self, count: int = 1) -> None:
         self.nodes += count
-        if self.nodes > self.limits.max_nodes:
+        if self.nodes >= self._next_check:
+            self._check_limits()
+
+    def _check_limits(self) -> None:
+        """Stop the search past the node limit or the deadline.  The
+        deadline is read every 256 nodes, the node limit at the node that
+        passes it: ``_next_check`` is the next node count that needs a
+        look."""
+        max_nodes = self.limits.max_nodes
+        if self.nodes > max_nodes:
             raise _LimitHit("node-limit")
-        if self._deadline is not None and self.nodes >= self._next_time_check:
-            self._next_time_check = self.nodes + 256
-            if time.monotonic() > self._deadline:
-                raise _LimitHit("timeout")
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise _LimitHit("timeout")
+        self._next_check = min(self.nodes + 256, max_nodes + 1)
 
     def _ordered(self, t: int, domain: _Domain) -> list[tuple[int, int]]:
         rows, _, (i0, i1, j0, j1) = domain
@@ -411,44 +430,26 @@ class _Engine:
             pi, pj = self.positions[t - 1]
             key = (ii - pi) ** 2 + (jj - pj) ** 2
         order = np.lexsort((jj, ii, key))
-        return [(int(ii[o]), int(jj[o])) for o in order]
+        return list(zip(ii[order].tolist(), jj[order].tolist()))
 
     def _farthest_prunes(self, t: int) -> bool:
-        """Even the farthest candidates of the two largest unassigned
-        circles are too close (bounding-box upper bound on distance)."""
+        """The farthest-pair rule at the node of circle ``t``: even the
+        farthest candidates of the two largest unassigned circles are too
+        close (bounding-box upper bound on distance).  Counts its cuts.
+
+        No domain the search sees is empty, so both boxes exist: solve
+        rejects an empty start domain, and elimination stops at the first
+        domain it empties.
+        """
+        if not self.prune.farthest_pair or t + 1 >= self.n:
+            return False
         box_a, box_b = self.masks[t][2], self.masks[t + 1][2]
-        if box_a is None or box_b is None:
-            return True
         max_di = max(box_a[1] - box_b[0], box_b[1] - box_a[0])
         max_dj = max(box_a[3] - box_b[2], box_b[3] - box_a[2])
-        return forbidden(max_di, max_dj, self.min_sq[t][t + 1], self.mode)
-
-    def _without_forbidden(
-        self, domain: _Domain, min_sq: int, i: int, j: int
-    ) -> _Domain | None:
-        """``domain`` with the candidates that conflict with (i, j) under
-        threshold ``min_sq`` cleared; None when none conflicts, so that the
-        caller reuses the parent domain as it is.
-
-        One AND of the domain with the threshold's forbidden pattern,
-        shifted onto (i, j), finds the conflicting bits (the module
-        docstring has the guard-column argument); one XOR clears them.
-        This is the search's hot path, so the two shifts are written out
-        here rather than calling ``grid._shifted``.
-        """
-        rows, cols, _ = domain
-        pattern_rows, pattern_cols = self.patterns[min_sq]
-        m = self.reach
-        base = (i - m) * self.row_stride + j - m
-        hit = rows & (pattern_rows << base if base >= 0 else pattern_rows >> -base)
-        if not hit:
-            return None
-        rows ^= hit
-        if not rows:
-            return 0, 0, None
-        base = (j - m) * self.col_stride + i - m
-        cols ^= cols & (pattern_cols << base if base >= 0 else pattern_cols >> -base)
-        return rows, cols, self._box(rows, cols)
+        if not forbidden(max_di, max_dj, self.min_sq[t][t + 1], self.mode):
+            return False
+        self.farthest_prunes += 1
+        return True
 
     def _conflicts(self, t: int, i: int, j: int) -> bool:
         for u in range(t):
@@ -458,83 +459,113 @@ class _Engine:
         return False
 
     def _leaf(self, t: int) -> bool:
-        """Last level: any surviving candidate completes the packing once
-        cleared against every assigned circle; each candidate counts as a
-        node."""
-        domain = self.masks[t]
+        """Last level: any candidate left completes the packing; each counts
+        as a node, or one node when none is left.  Without conditional
+        elimination the candidates are checked against every assigned
+        circle first."""
+        candidates = self._ordered(t, self.masks[t])
         if not self.prune.conditional:
-            for u in range(t):
-                if not domain[0]:
-                    break
-                pi, pj = self.positions[u]
-                cleared = self._without_forbidden(domain, self.min_sq[u][t], pi, pj)
-                if cleared is not None:
-                    domain = cleared
-        if not domain[0]:
-            self._tick()
+            candidates = [(i, j) for i, j in candidates if not self._conflicts(t, i, j)]
+        self._tick(len(candidates) or 1)
+        if not candidates:
             return False
-        self._tick(domain[0].bit_count())
-        self.positions[t] = self._ordered(t, domain)[0]
+        self.positions[t] = candidates[0]
         return True
 
-    def _eliminate(
-        self, t: int, i: int, j: int
-    ) -> tuple[list[tuple[int, _Domain]], bool]:
-        """Conditional elimination after placing circle ``t`` at (i, j):
-        clear the conflicting cells from the domains of circles t+1..n-1.
-
-        Returns the replaced (circle, domain) entries, for the caller to
-        put back, and whether some domain emptied (elimination stops there).
-        """
-        masks, min_sq = self.masks, self.min_sq[t]
-        saved = []
-        source = threshold = cleared = None
-        for k in range(t + 1, self.n):
-            # a circle that shares circle k - 1's domain and threshold
-            # shares its cleared domain too
-            if masks[k] is not source or min_sq[k] != threshold:
-                source, threshold = masks[k], min_sq[k]
-                cleared = self._without_forbidden(source, threshold, i, j)
-            if cleared is None:
-                continue
-            saved.append((k, masks[k]))
-            masks[k] = cleared
-            if not cleared[0]:
-                self.wipeouts += 1
-                return saved, True
-        return saved, False
-
     def _dfs(self, t: int) -> bool:
-        if self.prune.farthest_pair and t + 1 < self.n and self._farthest_prunes(t):
-            self.farthest_prunes += 1
-            return False
         if t == self.n:
             return True
         if t == self.n - 1:
             return self._leaf(t)
 
-        masks = self.masks
+        masks, positions = self.masks, self.positions
+        if not self.prune.conditional:
+            for i, j in self._ordered(t, masks[t]):
+                self._tick()
+                if self._conflicts(t, i, j):
+                    continue
+                positions[t] = (i, j)
+                if not self._farthest_prunes(t + 1) and self._dfs(t + 1):
+                    return True
+                positions[t] = None
+            return False
+
+        # the node loop does the node tick and the conditional elimination
+        # itself, since a call per node or per clear costs more than most
+        # clears (the limits stay in _check_limits).  After
+        # placing circle t at (i, j) it clears the conflicting candidates
+        # from the domains of circles t+1..n-1 and saves the replaced ones
+        # for putting back.  A clear first tests the box corner farthest
+        # from (i, j): when that conflicts, every candidate does, and the
+        # domain empties with no big-int work (module docstring).
+        # Otherwise one AND with the threshold's forbidden pattern, shifted
+        # onto (i, j), finds the conflicting bits and one XOR clears them;
+        # a domain with none is kept as it is.  The child's farthest-pair
+        # test runs here too, so a child that it cuts costs no _dfs call
+        mode, n, min_sq = self.mode, self.n, self.min_sq[t]
+        patterns, m = self.patterns, self.reach
+        s, c = self.row_stride, self.col_stride
         for i, j in self._ordered(t, masks[t]):
-            self._tick()
-            if not self.prune.conditional and self._conflicts(t, i, j):
-                continue
-            self.positions[t] = (i, j)
-            saved, dead = ([], False)
-            if self.prune.conditional:
-                saved, dead = self._eliminate(t, i, j)
-            found = not dead and self._dfs(t + 1)
+            self.nodes += 1
+            if self.nodes >= self._next_check:
+                self._check_limits()
+            positions[t] = (i, j)
+            saved = []
+            source = threshold = cleared = None
+            for k in range(t + 1, n):
+                # a circle that shares circle k - 1's domain and threshold
+                # shares its cleared domain too
+                if masks[k] is not source or min_sq[k] != threshold:
+                    source, threshold = masks[k], min_sq[k]
+                    rows, cols, (i0, i1, j0, j1) = source
+                    if forbidden(
+                        i1 - i if i + i < i0 + i1 else i - i0,
+                        j1 - j if j + j < j0 + j1 else j - j0,
+                        threshold,
+                        mode,
+                    ):
+                        cleared = 0, 0, None
+                    else:
+                        pattern_rows, pattern_cols = patterns[threshold]
+                        base = (i - m) * s + j - m
+                        hit = rows & (
+                            pattern_rows << base if base >= 0 else pattern_rows >> -base
+                        )
+                        if not hit:
+                            cleared = None
+                        elif hit == rows:
+                            cleared = 0, 0, None
+                        else:
+                            rows ^= hit
+                            base = (j - m) * c + i - m
+                            cols ^= cols & (
+                                pattern_cols << base
+                                if base >= 0
+                                else pattern_cols >> -base
+                            )
+                            cleared = rows, cols, self._box(rows, cols)
+                if cleared is None:
+                    continue
+                saved.append((k, masks[k]))
+                masks[k] = cleared
+                if not cleared[0]:
+                    self.wipeouts += 1
+                    found = False
+                    break
+            else:
+                found = not self._farthest_prunes(t + 1) and self._dfs(t + 1)
             for k, domain in saved:
                 masks[k] = domain
             if found:
                 return True
-            self.positions[t] = None
+            positions[t] = None
         return False
 
     def run(self) -> SolveOutcome:
         start = time.monotonic()
         status, reason, assignment = "infeasible", None, None
         try:
-            found = self._dfs(0)
+            found = not self._farthest_prunes(0) and self._dfs(0)
         except _LimitHit as hit:
             found, status, reason = False, "unknown", hit.reason
         elapsed = time.monotonic() - start

@@ -29,6 +29,8 @@ from scipy.stats import qmc
 import circlepack
 from circlepack.bounds import (
     BoundReport,
+    _certify_disc_placement,
+    _certify_strip_placement,
     _exact_pair_scale,
     _greedy_disc_centers,
     _pair_tangent_positions,
@@ -540,7 +542,10 @@ def _reference_pair_scale(instance, centers):
         worst = max(worst, (Fraction(a.radius) + Fraction(b.radius)) ** 2 / dist_sq)
     if worst <= 1:
         return 1.0
-    scale = math.sqrt(float(worst))
+    try:
+        scale = math.sqrt(float(worst))
+    except OverflowError:  # a near-coincident pair: the ratio has no float
+        return None
     for _ in range(4):
         if Fraction(scale) ** 2 >= worst:
             break
@@ -559,14 +564,22 @@ def test_exact_pair_scale_matches_rational_reference(radii, data):
     centers = {c.id: (data.draw(coordinate), data.draw(coordinate)) for c in instance.circles}
     if data.draw(st.booleans()):
         centers[instance.n] = centers[1]  # coincident centers give None
+    assert _exact_pair_scale(instance, centers) == _reference_pair_scale(instance, centers)
 
-    def outcome(scale_of):
-        try:
-            return scale_of(instance, centers)
-        except OverflowError:  # a near-coincident pair: the ratio has no float
-            return OverflowError
 
-    assert outcome(_exact_pair_scale) == outcome(_reference_pair_scale)
+def test_exact_pair_scale_none_when_the_ratio_overflows():
+    # distinct centers 1e-163 apart: the worst ratio, about 4e326, has no
+    # float, so no float factor exists and the certifiers refuse the layout
+    centers = {1: (0.0, 0.0), 2: (0.0, 1.0089e-163)}
+    disc = Instance.from_radii("p", [1.0, 1.0])
+    assert _exact_pair_scale(disc, centers) is None
+    with pytest.raises(RuntimeError, match="near-coincident"):
+        _certify_disc_placement(disc, centers)
+    strip = Instance.from_radii("p", [1.0, 1.0], StripContainer(2.0))
+    centers = {1: (1.0, 1.0), 2: (1.0 + 1.0089e-163, 1.0)}
+    assert _exact_pair_scale(strip, centers) is None
+    with pytest.raises(RuntimeError, match="near-coincident"):
+        _certify_strip_placement(strip, centers)
 
 
 def test_exact_pair_scale_tangent_and_overlapping_pairs():

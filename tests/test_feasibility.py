@@ -146,6 +146,50 @@ def _random_tied_problem(rng: np.random.Generator, strip: bool):
     return instance, grid_for_instance(instance, size, delta)
 
 
+def _place_first(engine: _Engine, i: int, j: int) -> bool:
+    """Run the search's node loop on the node that places circle 1 at
+    (i, j), and return whether its conditional elimination emptied a domain.
+
+    ``engine`` has three circles, a node limit of 1 and the farthest-pair
+    rule off.  Circle 1's domain becomes the single cell (i, j), so the
+    first node places it there.  When no domain empties, the node limit
+    stops the search at the next node, and ``engine.masks`` keeps the
+    domains that the elimination wrote for circles 2 and 3.  When one
+    empties, the search puts the domains back and ends infeasible.
+    """
+    s, c = engine.row_stride, engine.col_stride
+    engine.masks[0] = (1 << i * s + j, 1 << j * c + i, (i, i, j, j))
+    engine.nodes = engine.wipeouts = 0
+    outcome = engine.run()
+    assert (outcome.status, outcome.nodes, outcome.wipeout) in {
+        ("unknown", 2, 0),
+        ("infeasible", 1, 1),
+    }
+    assert engine.positions[0] == ((i, j) if outcome.wipeout == 0 else None)
+    return outcome.wipeout == 1
+
+
+def _assert_step_clears(
+    engine: _Engine, initial: list, i: int, j: int, expected: list[np.ndarray]
+) -> None:
+    """One node of the search at (i, j) against the brute-force clears
+    ``expected`` of circles 2 and 3: it empties a domain exactly when one
+    of them is empty, and otherwise leaves exactly them, bits and box, with
+    an unchanged domain kept as it is and a shared domain cleared once."""
+    engine.masks[:] = initial
+    dead = _place_first(engine, i, j)
+    assert dead == any(not mask.any() for mask in expected)
+    if dead:
+        assert all(a is b for a, b in zip(engine.masks[1:], initial[1:]))
+        return
+    for k, mask in ((1, expected[0]), (2, expected[1])):
+        _assert_domain_is(engine, engine.masks[k], mask)
+        if engine.masks[k][0] == initial[k][0]:
+            assert engine.masks[k] is initial[k]
+    if initial[1] is initial[2] and engine.min_sq[0][1] == engine.min_sq[0][2]:
+        assert engine.masks[1] is engine.masks[2]
+
+
 def _assert_domain_is(engine: _Engine, domain, mask: np.ndarray) -> None:
     """A packed engine domain holds exactly ``mask``: in both bitsets, with
     every guard column clear, and with the box of ``bounding_box``."""
@@ -389,28 +433,25 @@ class TestTiedRadii:
             instance, grid = _random_tied_problem(rng, strip)
             for mode in ("restricted", "relaxed"):
                 problem = build_problem(instance, grid, mode, symmetry=False)
+                if problem.trivially_infeasible:
+                    continue  # solve rejects it before any search
                 domains = [problem.domains[cid].mask for cid in (1, 2, 3)]
                 ii, jj = np.indices(domains[0].shape)
                 thresholds = [_pair_min_sq(problem, 1, cid) for cid in (2, 3)]
-                engine = _Engine(problem, SolveLimits(), PruneConfig())
+                engine = _Engine(
+                    problem, SolveLimits(max_nodes=1), PruneConfig(farthest_pair=False)
+                )
                 if engine.masks[1] is engine.masks[2]:
                     shared[thresholds[0] == thresholds[1]] += 1
                 initial = list(engine.masks)
                 for domain, mask in zip(initial, domains):
                     _assert_domain_is(engine, domain, mask)
                 for i, j in np.argwhere(domains[0])[::3]:
-                    saved, dead = engine._eliminate(0, int(i), int(j))
-                    for k in (1, 2):
-                        expected = domains[k] & ~forbidden(
-                            ii - i, jj - j, thresholds[k - 1], mode
-                        )
-                        _assert_domain_is(engine, engine.masks[k], expected)
-                        if engine.masks[k][2] is None:
-                            break
-                    assert dead == (engine.masks[k][2] is None)
-                    for k, domain in saved:
-                        engine.masks[k] = domain
-                    assert all(a is b for a, b in zip(engine.masks, initial))
+                    expected = [
+                        domains[k] & ~forbidden(ii - i, jj - j, thresholds[k - 1], mode)
+                        for k in (1, 2)
+                    ]
+                    _assert_step_clears(engine, initial, int(i), int(j), expected)
         assert shared[True] > 10 and shared[False] > 3, f"too few shared masks: {shared}"
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -454,8 +495,9 @@ class TestPackedDomains:
 
     @staticmethod
     def _engine(mask: np.ndarray, min_sq: Mapping, mode: str) -> _Engine:
-        """An engine whose three circles all have the domain ``mask``; only
-        its packing and clearing are exercised, so the grid is nominal."""
+        """An engine whose three circles all have the domain ``mask``, set
+        up for ``_place_first``; only its packing and clearing are
+        exercised, so the grid is nominal."""
         instance = Instance.from_radii("bits", [1.0, 1.0, 1.0])
         problem = FeasibilityProblem(
             instance=instance,
@@ -465,7 +507,7 @@ class TestPackedDomains:
             radii=instance.radii,
             min_sq=min_sq,
         )
-        return _Engine(problem, SolveLimits(), PruneConfig())
+        return _Engine(problem, SolveLimits(max_nodes=1), PruneConfig(farthest_pair=False))
 
     @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
     @pytest.mark.parametrize(
@@ -484,24 +526,64 @@ class TestPackedDomains:
                     mask, {(1, 2): clear, (1, 3): other, (2, 3): other}, mode
                 )
                 wide += 2 * engine.reach + 1 > min(shape)
-                domain = engine.masks[0]
-                _assert_domain_is(engine, domain, mask)
+                initial = list(engine.masks)
+                _assert_domain_is(engine, initial[1], mask)
+                if not mask.any():
+                    # solve rejects an empty domain before any search
+                    assert engine.problem.trivially_infeasible
+                    continue
                 for i in range(shape[0]):
                     for j in range(shape[1]):
-                        expected = mask & ~forbidden(ii - i, jj - j, clear, mode)
-                        cleared = engine._without_forbidden(domain, clear, i, j)
-                        if cleared is None:
-                            assert np.array_equal(expected, mask)
-                        else:
-                            _assert_domain_is(engine, cleared, expected)
+                        expected = [
+                            mask & ~forbidden(ii - i, jj - j, threshold, mode)
+                            for threshold in (clear, other)
+                        ]
+                        _assert_step_clears(engine, initial, i, j, expected)
         assert wide > 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_box_corner_wipeout_matches_brute_force(self, data):
+        """The search's clear, box-corner wipeout included, against the
+        per-cell ``forbidden`` mask: random masks confined to a random
+        window, a node at every cell of the grid, inside and outside the
+        domain's box, with thresholds from 0 (nothing forbidden) to wider
+        than the grid."""
+        mode = data.draw(st.sampled_from(["restricted", "relaxed"]))
+        nx, ny = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        cells = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+        mask = np.array(cells, dtype=bool).reshape(nx, ny)
+        a0, a1 = sorted(data.draw(st.tuples(st.integers(0, nx - 1), st.integers(0, nx - 1))))
+        b0, b1 = sorted(data.draw(st.tuples(st.integers(0, ny - 1), st.integers(0, ny - 1))))
+        window = np.zeros_like(mask)
+        window[a0 : a1 + 1, b0 : b1 + 1] = True
+        mask &= window
+        wide = 2 * (max(nx, ny) + 1) ** 2
+        threshold = st.one_of(st.just(0), st.integers(1, wide), st.integers(wide, 2 * wide))
+        clear, other = data.draw(threshold), data.draw(threshold)
+
+        engine = self._engine(mask, {(1, 2): clear, (1, 3): other, (2, 3): other}, mode)
+        if not mask.any():
+            assert engine.problem.trivially_infeasible
+            return
+        initial = list(engine.masks)
+        ii, jj = np.indices(mask.shape)
+        for i in range(nx):
+            for j in range(ny):
+                expected = [
+                    mask & ~forbidden(ii - i, jj - j, threshold, mode)
+                    for threshold in (clear, other)
+                ]
+                _assert_step_clears(engine, initial, i, j, expected)
 
 
 # Search traces recorded with the engine that copied every unassigned
 # domain at every child (commit a601e24), at the first trial of a run with
 # relaxed-search budgets (eq-07, strip-b) and at two zimm-06 trials: the
-# status, the node count, the positions when the search stopped (the
-# assignment when feasible) and the candidates left in each domain then.
+# status, the node count, the farthest-pair and wipeout counts (recorded at
+# commit 1fe458f, before the box-corner wipeout test), the positions when the
+# search stopped (the assignment when feasible) and the candidates left in
+# each domain then.
 INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
 TRACE_GRIDS = {
     ("eq-07", 2.822875655533296): 0.04428108611717624,
@@ -515,85 +597,85 @@ TRACE_PRUNES = {
     "condonly": PruneConfig(farthest_pair=False, conditional=True),
 }
 PINNED_TRACES = (
-    ("eq-07", 2.822875655533296, "relaxed", "all", 3000, "unknown", 3001,
+    ("eq-07", 2.822875655533296, "relaxed", "all", 3000, "unknown", 3001, 1230, 1719,
      ((67, 68), (23, 73), None, None, None, None, None),
      (1378, 101, 117, 117, 117, 117, 117)),
-    ("eq-07", 2.822875655533296, "relaxed", "nocond", 3000, "unknown", 3001,
+    ("eq-07", 2.822875655533296, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
      ((64, 67), (30, 39), None, None, None, None, None),
      (1378, 2290, 4474, 4474, 4474, 4474, 4474)),
-    ("eq-07", 2.822875655533296, "relaxed", "condonly", 3000, "unknown", 3001,
+    ("eq-07", 2.822875655533296, "relaxed", "condonly", 3000, "unknown", 3001, 0, 2772,
      ((67, 66), (23, 55), None, None, None, None, None),
      (1378, 79, 9, 9, 9, 9, 9)),
-    ("eq-07", 2.822875655533296, "restricted", "all", 3000, "unknown", 3001,
+    ("eq-07", 2.822875655533296, "restricted", "all", 3000, "unknown", 3001, 1983, 980,
      ((72, 66), None, None, None, None, None, None),
      (1378, 212, 252, 252, 252, 252, 252)),
-    ("eq-07", 2.822875655533296, "restricted", "nocond", 3000, "unknown", 3001,
+    ("eq-07", 2.822875655533296, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
      ((64, 67), None, None, None, None, None, None),
      (1378, 2246, 4409, 4409, 4409, 4409, 4409)),
-    ("eq-07", 2.822875655533296, "restricted", "condonly", 3000, "unknown", 3001,
+    ("eq-07", 2.822875655533296, "restricted", "condonly", 3000, "unknown", 3001, 0, 2712,
      ((67, 70), (29, 44), None, None, None, None, None),
      (1378, 37, 14, 14, 14, 14, 14)),
-    ("strip-b", 5.356197490192345, "relaxed", "all", 3000, "unknown", 3001,
+    ("strip-b", 5.356197490192345, "relaxed", "all", 3000, "unknown", 3001, 2202, 440,
      ((19, 15), (10, 8), None, None, None, None),
      (88, 48, 4, 4, 4, 4)),
-    ("strip-b", 5.356197490192345, "relaxed", "nocond", 3000, "unknown", 3001,
+    ("strip-b", 5.356197490192345, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
      ((17, 12), (8, 19), (6, 6), (27, 6), None, None),
      (88, 234, 234, 234, 234, 234)),
-    ("strip-b", 5.356197490192345, "relaxed", "condonly", 3000, "unknown", 3001,
+    ("strip-b", 5.356197490192345, "relaxed", "condonly", 3000, "unknown", 3001, 0, 1880,
      ((17, 13), (6, 19), (27, 19), (26, 6), None, None),
      (88, 15, 9, 8, 5, 5)),
-    ("strip-b", 5.356197490192345, "restricted", "all", 3000, "unknown", 3001,
+    ("strip-b", 5.356197490192345, "restricted", "all", 3000, "unknown", 3001, 846, 2077,
      ((25, 17), None, None, None, None, None),
      (88, 94, 94, 94, 94, 94)),
-    ("strip-b", 5.356197490192345, "restricted", "nocond", 3000, "unknown", 3001,
+    ("strip-b", 5.356197490192345, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
      ((19, 12), None, None, None, None, None),
      (88, 218, 218, 218, 218, 218)),
-    ("strip-b", 5.356197490192345, "restricted", "condonly", 3000, "unknown", 3001,
+    ("strip-b", 5.356197490192345, "restricted", "condonly", 3000, "unknown", 3001, 0, 2690,
      ((19, 19), (27, 9), None, None, None, None),
      (88, 37, 30, 30, 30, 30)),
-    ("strip-b", 5.356197490192345, "restricted", "all", 10000, "infeasible", 5398,
+    ("strip-b", 5.356197490192345, "restricted", "all", 10000, "infeasible", 5398, 1669, 3608,
      (None, None, None, None, None, None),
      (88, 218, 218, 218, 218, 218)),
-    ("strip-b", 5.356197490192345, "restricted", "nocond", 10000, "unknown", 10001,
+    ("strip-b", 5.356197490192345, "restricted", "nocond", 10000, "unknown", 10001, 0, 0,
      ((20, 13), (8, 19), None, None, None, None),
      (88, 218, 218, 218, 218, 218)),
-    ("strip-b", 5.356197490192345, "restricted", "condonly", 10000, "unknown", 10001,
+    ("strip-b", 5.356197490192345, "restricted", "condonly", 10000, "unknown", 10001, 0, 8651,
      ((26, 18), None, None, None, None, None),
      (88, 113, 113, 113, 113, 113)),
-    ("zimm-06", 11.086517007382739, "restricted", "all", 3000, "feasible", 1243,
+    ("zimm-06", 11.086517007382739, "restricted", "all", 3000, "feasible", 1243, 25, 347,
      ((124, 122), (47, 71), (115, 38), (50, 139), (159, 64), (173, 85)),
      (145, 160, 1324, 4531, 9568, 16423)),
-    ("zimm-06", 11.086517007382739, "restricted", "nocond", 3000, "unknown", 3001,
+    ("zimm-06", 11.086517007382739, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
      ((122, 121), None, None, None, None, None),
      (145, 160, 1324, 4531, 9568, 16423)),
-    ("zimm-06", 11.086517007382739, "restricted", "condonly", 3000, "feasible", 1442,
+    ("zimm-06", 11.086517007382739, "restricted", "condonly", 3000, "feasible", 1442, 0, 546,
      ((124, 122), (47, 71), (115, 38), (50, 139), (159, 64), (173, 85)),
      (145, 160, 1324, 4531, 9568, 16423)),
-    ("zimm-06", 11.086517007382739, "relaxed", "all", 3000, "feasible", 1461,
+    ("zimm-06", 11.086517007382739, "relaxed", "all", 3000, "feasible", 1461, 0, 4,
      ((118, 124), (51, 62), (123, 41), (43, 128), (64, 163), (84, 176)),
      (145, 163, 1334, 4555, 9622, 16524)),
-    ("zimm-06", 11.086517007382739, "relaxed", "nocond", 3000, "unknown", 3001,
+    ("zimm-06", 11.086517007382739, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
      ((118, 124), (52, 61), None, None, None, None),
      (145, 163, 1334, 4555, 9622, 16524)),
-    ("zimm-06", 11.086517007382739, "relaxed", "condonly", 3000, "feasible", 1461,
+    ("zimm-06", 11.086517007382739, "relaxed", "condonly", 3000, "feasible", 1461, 0, 4,
      ((118, 124), (51, 62), (123, 41), (43, 128), (64, 163), (84, 176)),
      (145, 163, 1334, 4555, 9622, 16524)),
-    ("zimm-06", 11.060185744266253, "restricted", "all", 3000, "infeasible", 275,
+    ("zimm-06", 11.060185744266253, "restricted", "all", 3000, "infeasible", 275, 20, 241,
      (None, None, None, None, None, None),
      (124, 134, 1248, 4348, 9264, 15975)),
-    ("zimm-06", 11.060185744266253, "restricted", "nocond", 3000, "unknown", 3001,
+    ("zimm-06", 11.060185744266253, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
      ((128, 110), None, None, None, None, None),
      (124, 134, 1248, 4348, 9264, 15975)),
-    ("zimm-06", 11.060185744266253, "restricted", "condonly", 3000, "infeasible", 402,
+    ("zimm-06", 11.060185744266253, "restricted", "condonly", 3000, "infeasible", 402, 0, 368,
      (None, None, None, None, None, None),
      (124, 134, 1248, 4348, 9264, 15975)),
-    ("zimm-06", 11.060185744266253, "relaxed", "all", 3000, "feasible", 1441,
+    ("zimm-06", 11.060185744266253, "relaxed", "all", 3000, "feasible", 1441, 0, 0,
      ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
      (124, 136, 1257, 4374, 9314, 16072)),
-    ("zimm-06", 11.060185744266253, "relaxed", "nocond", 3000, "unknown", 3001,
+    ("zimm-06", 11.060185744266253, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
      ((118, 122), (49, 64), (119, 39), None, None, None),
      (124, 136, 1257, 4374, 9314, 16072)),
-    ("zimm-06", 11.060185744266253, "relaxed", "condonly", 3000, "feasible", 1441,
+    ("zimm-06", 11.060185744266253, "relaxed", "condonly", 3000, "feasible", 1441, 0, 0,
      ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
      (124, 136, 1257, 4374, 9314, 16072)),
 )
@@ -615,16 +697,15 @@ class TestPinnedSearchTrace:
         "trace", PINNED_TRACES, ids=lambda t: "-".join(map(str, t[:5]))
     )
     def test_engine_reproduces_recorded_search(self, problems, trace):
-        name, size, mode, prune, max_nodes, status, nodes, positions, left = trace
+        (name, size, mode, prune, max_nodes, status, nodes, farthest_pair, wipeout,
+         positions, left) = trace
         problem = problems[(name, size, mode)]
         engine = _Engine(problem, SolveLimits(max_nodes=max_nodes), TRACE_PRUNES[prune])
         outcome = engine.run()
         assert (outcome.status, outcome.nodes) == (status, nodes)
+        assert (outcome.farthest_pair, outcome.wipeout) == (farthest_pair, wipeout)
         assert tuple(engine.positions) == positions
         assert tuple(rows.bit_count() for rows, _, _ in engine.masks) == left
-        config = TRACE_PRUNES[prune]
-        assert (outcome.farthest_pair > 0) <= config.farthest_pair
-        assert (outcome.wipeout > 0) <= config.conditional
         expected = (
             {cid: positions[cid - 1] for cid in range(1, len(positions) + 1)}
             if status == "feasible"
