@@ -33,10 +33,10 @@ the thresholds in use.  Each threshold's forbidden offsets in [-m, m]^2 are
 packed once with the same stride (``_pattern``), offset (di, dj) at bit
 (di + m)*S + (dj + m); the max(., m) term makes S >= 2m + 1, so a pattern
 row fits one stride even when the square is wider than the grid.
-``_packed_patterns`` builds m, S and the patterns of a set of thresholds.
-Shifted by (i - m)*S + (j - m) (``_shifted``), the pattern puts offset
-(di, dj) at bit (i + di)*S + (j + dj), and one AND finds every cell of a set
-that lies at a forbidden offset from (i, j).
+``_layout`` gives m and S for a set of thresholds, and ``_packed_patterns``
+also their patterns.  Shifted by (i - m)*S + (j - m), the pattern puts
+offset (di, dj) at bit (i + di)*S + (j + dj), and one AND finds every cell
+of a set that lies at a forbidden offset from (i, j).
 
 The shift is sound because bits ny..S-1 of each row, the guard columns,
 are never set in a cell set, and S >= ny + m.  The column j + dj lies in
@@ -456,23 +456,22 @@ def _pattern(min_sq: int, mode: Mode, reach: int, stride: int) -> int:
     return _pack(square, stride)
 
 
+def _layout(thresholds: Iterable[int], mode: Mode, cells: int) -> tuple[int, int]:
+    """(reach, stride) of the packed layout for rows of ``cells`` cells:
+    the largest forbidden reach of ``thresholds`` (0 when there is none)
+    and its row stride."""
+    reach = max([0, *(forbidden_reach(t, mode) for t in thresholds)])
+    return reach, _stride(cells, reach)
+
+
 def _packed_patterns(
     thresholds: Collection[int], mode: Mode, cells: int
 ) -> tuple[int, int, dict[int, int]]:
-    """(reach, stride, patterns) of the packed layout for rows of ``cells``
-    cells: the largest forbidden reach of ``thresholds`` (0 when there is
-    none), its row stride and each threshold's pattern, which is 0 for a
-    threshold that forbids no offset."""
-    reach = max([0, *(forbidden_reach(t, mode) for t in thresholds)])
-    stride = _stride(cells, reach)
+    """(reach, stride, patterns) of the packed layout (``_layout``) with
+    each threshold's pattern, which is 0 for a threshold that forbids no
+    offset."""
+    reach, stride = _layout(thresholds, mode, cells)
     return reach, stride, {t: _pattern(t, mode, reach, stride) for t in thresholds}
-
-
-def _shifted(pattern: int, i: int, j: int, reach: int, stride: int) -> int:
-    """``pattern`` moved onto cell (i, j): the cells at a forbidden offset
-    from (i, j) (module docstring)."""
-    base = (i - reach) * stride + j - reach
-    return pattern << base if base >= 0 else pattern >> -base
 
 
 def _row_extents(bits: int, stride: int) -> list[tuple[int, int, int]]:

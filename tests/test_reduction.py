@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import circlepack
+from circlepack import bounds
+from circlepack.feasibility import build_problem
 from circlepack.files import read_instance
 from circlepack.geometry import Circle, CircleContainer, Instance, exact
 from circlepack.grid import (
@@ -23,7 +26,6 @@ from circlepack.grid import (
     _packed_patterns,
     _pattern,
     _row_extents,
-    _shifted,
     _stride,
     _unpack,
     build_grid,
@@ -34,6 +36,8 @@ from circlepack.grid import (
 from circlepack.reduction import (
     RegionMap,
     _annulus_distances,
+    _extreme_cells,
+    _forbidden_from_all,
     _hull,
     annulus_region,
     build_region_map,
@@ -249,7 +253,9 @@ def brute_propagate(masks, radii, delta):
     A cell of circle k survives a sweep when every other circle c has a
     current cell whose farthest corners are at least r_k + r_c apart.  Same
     sweep rules as ``propagate``: all circles update from the previous
-    sweep until the fixpoint, None as soon as a region is empty.
+    sweep until the fixpoint, None as soon as a region is empty.  Returns
+    the surviving cells and the sweeps, the last of which changed nothing;
+    every sweep checks every pair, with no worklist and no classes.
     """
     ids = sorted(masks)
     r = dict(zip(ids, radii))
@@ -262,7 +268,7 @@ def brute_propagate(masks, radii, delta):
         far_j = (abs(p[1] - q[1]) + 1) * delta
         return far_i * far_i + far_j * far_j >= r_sum * r_sum
 
-    while True:
+    for sweeps in count(1):
         new = {}
         for k in ids:
             new[k] = {
@@ -277,7 +283,7 @@ def brute_propagate(masks, radii, delta):
             if not new[k]:
                 return None
         if new == cells:
-            return cells
+            return cells, sweeps
         cells = new
 
 
@@ -298,30 +304,42 @@ def strip_grid(nx, ny, delta):
 
 @st.composite
 def region_problems(draw):
+    """Random regions and radii, with the cases that form equal-circle
+    classes: a circle may repeat an earlier circle's mask, as the same
+    array or as a copy, and its radius, each independently.  So tied radii
+    come with equal masks (a class) and with different masks, and equal
+    masks with different radii."""
     nx = draw(st.integers(1, 8))
     ny = draw(st.integers(1, 8))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
     cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
-    masks = {}
+    radius = st.fractions(Fraction(1, 10), Fraction(2), max_denominator=16)
+    masks, radii = {}, []
     for cid in range(1, n + 1):
-        # sparse regions are where cells lose support; dense ones test the hull
-        if draw(st.booleans()):
+        earlier = st.integers(1, cid - 1) if cid > 1 else st.nothing()
+        how = draw(st.sampled_from(["dense", "sparse", "shared", "copied"]))
+        if how in ("shared", "copied") and cid > 1:
+            mask = masks[draw(earlier)]
+            masks[cid] = mask if how == "shared" else mask.copy()
+        elif how == "dense":
             masks[cid] = draw(arrays(bool, (nx, ny), elements=st.booleans()))
         else:
+            # sparse regions are where cells lose support; dense ones test the hull
             masks[cid] = _mask((nx, ny), draw(st.sets(cell, min_size=1, max_size=6)))
+        if cid > 1 and draw(st.booleans()):
+            radii.append(radii[draw(earlier) - 1])
+        else:
+            radii.append(draw(radius))
     delta = draw(st.fractions(Fraction(1, 3), Fraction(2), max_denominator=12))
-    radii = [
-        draw(st.fractions(Fraction(1, 10), Fraction(2), max_denominator=16))
-        for _ in range(n)
-    ]
     return masks, radii, delta
 
 
 @settings(max_examples=200)
 @given(region_problems())
 def test_propagate_matches_brute_force_oracle(problem):
-    """Random bitmaps (non-convex, disconnected, touching the grid edge) and
-    rational radii and spacing: same surviving cells, or both EMPTY."""
+    """Random bitmaps (non-convex, disconnected, touching the grid edge,
+    some shared among circles of equal radius) and rational radii and
+    spacing: same surviving cells and the same sweeps, or both EMPTY."""
     masks, radii, delta = problem
     nx, ny = masks[1].shape
     before = {cid: m.copy() for cid, m in masks.items()}
@@ -334,9 +352,11 @@ def test_propagate_matches_brute_force_oracle(problem):
         assert got is None
         return
     assert got is not None
-    for cid, cells in want.items():
+    cells, sweeps = want
+    for cid in masks:
         assert got.masks[cid].dtype == bool
-        assert _cells(got.masks[cid]) == cells
+        assert _cells(got.masks[cid]) == cells[cid]
+    assert got.sweeps == sweeps
 
 
 @settings(max_examples=100)
@@ -454,6 +474,14 @@ PINNED_REGIONS = [
     # eq-20 at an lb3 probe: 20 equal circles, one threshold
     ("eq-20", 5.042580496436345, 0.42021504136969545, 12,
      (104, 188, *[332] * 18), "d894e6835137e14a", 1),
+    # a mixed-radius zimm-10 lb3 probe of the seed bracket, recorded before
+    # the worklist and the equal-circle classes
+    ("zimm-10", 19.634688168921226, 0.4462429129300279, 44,
+     (132, 142, 327, 698, 1185, 1798, 2543, 3406, 4288, 5159), "82c3a39e33f12f9d", 3),
+    # the nonempty driver-trial map with the most sweeps found in short
+    # runs of the 25 bundled instances: strip-a's first trial
+    ("strip-a", 8.388941144314678, 0.17476960717322246, 48,
+     (41, 2, 2, 205, 205), "3fd7b32e69aaefb4", 5),
 ]
 
 
@@ -486,6 +514,63 @@ def test_pinned_region_trace(name, size, delta, theta, counts, digest, sweeps):
     assert result.sweeps == sweeps
 
 
+@pytest.mark.parametrize("path", sorted(INSTANCE_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_region_feasible_is_the_propagate_answer(path, monkeypatch):
+    """``region_feasible`` answers from the packed fixpoint without
+    unpacking; at every size ``lb3`` probes it agrees with propagating the
+    built regions.  strip-c's probes include EMPTY ones."""
+    instance = read_instance(path).instance
+    probes = []
+
+    def recording(inst, size, delta_r):
+        answer = region_feasible(inst, size, delta_r)
+        probes.append((size, delta_r, answer))
+        return answer
+
+    monkeypatch.setattr(bounds, "region_feasible", recording)
+    bounds.lb3(instance)
+    assert probes
+    for size, delta_r, answer in probes:
+        grid = grid_for_instance(instance, size, delta_r)
+        regions = propagate(build_region_map(instance, size, grid), instance.radii)
+        assert answer == (regions is not None)
+    if path.stem == "strip-c":
+        assert not all(answer for _, _, answer in probes)
+
+
+def test_region_feasible_empty_strip_probe():
+    """strip-c at 10.796, the EMPTY lb3 probe pinned above."""
+    instance = read_instance(INSTANCE_DIR / "strip-c.json").instance
+    assert not region_feasible(instance, 10.795999523497063, 0.45 * instance.min_radius)
+    assert region_feasible(instance, 12.690567149297106, 0.45 * instance.min_radius)
+
+
+def test_propagated_masks_are_read_only(tmp_path):
+    """Circles of one class share one mask array, so every returned mask is
+    read-only and an in-place write raises.  The consumers only read them:
+    ``build_problem`` in both modes, the driver's cell count and
+    ``write_region_pgm`` run on the map and leave it unchanged."""
+    instance = read_instance(INSTANCE_DIR / "eq-07.json").instance
+    size = 2.822875655533296
+    grid = grid_for_instance(instance, size, 0.04410743211770775)
+    base = build_region_map(instance, size, grid)
+    result = propagate(base, instance.radii)
+    assert result is not None
+    assert result.masks[3] is result.masks[7]  # one class: circles 3 to 7
+    before = _digest(result.masks)
+    for regions in (base, result):
+        for mask in regions.masks.values():
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = True
+            with pytest.raises(ValueError, match="read-only"):
+                mask &= False
+    for mode in ("restricted", "relaxed"):
+        build_problem(instance, grid, mode, result)
+    assert sum(map(result.cell_count, result.masks)) == 1455 + 2317 + 5 * 4474
+    write_region_pgm(result, tmp_path)
+    assert _digest(result.masks) == before
+
+
 def test_propagate_runs_to_the_fixpoint():
     """Three unit circles at a driver trial size just below the optimum
     1 + 2/sqrt(3): the regions shrink by a few cells per sweep and empty
@@ -496,6 +581,40 @@ def test_propagate_runs_to_the_fixpoint():
     grid = grid_for_instance(instance, size, delta)
     assert grid.theta == 111
     assert propagate(build_region_map(instance, size, grid), instance.radii) is None
+
+
+@st.composite
+def tall_masks(draw):
+    """A mask of up to 40 rows, so the row halving of ``_extreme_cells``
+    runs several odd and even steps, and a reach for its layout."""
+    nx = draw(st.integers(1, 40))
+    ny = draw(st.integers(1, 12))
+    mask = draw(arrays(bool, (nx, ny), elements=st.booleans()))
+    return mask, draw(st.integers(0, 12))
+
+
+@given(tall_masks())
+def test_extreme_cells_match_numpy(problem):
+    """The extreme cells read off the bits are numpy's: the last cell of
+    the last row, the first cell of the first row and the first cell of the
+    leftmost and of the rightmost column, without repeats.  Each is a
+    vertex of the hull."""
+    mask, reach = problem
+    if not mask.any():
+        return
+    stride = _stride(mask.shape[1], reach)
+    column = _pack(np.ones((mask.shape[0], 1), dtype=bool), stride)
+    got = [divmod(v, stride) for v in _extreme_cells(_pack(mask, stride), stride, column)]
+    ii, jj = np.nonzero(mask)  # row-major order
+    left, right = jj.min(), jj.max()
+    want = [
+        (ii[-1], jj[-1]),
+        (ii[0], jj[0]),
+        (ii[jj == left].min(), left),
+        (ii[jj == right].min(), right),
+    ]
+    assert got == list(dict.fromkeys((int(i), int(j)) for i, j in want))
+    assert set(got) <= set(_hull(_numpy_row_extents(mask)))
 
 
 @st.composite
@@ -548,12 +667,20 @@ def test_row_extents_match_numpy(problem):
     assert box == (ii.min(), ii.max(), jj.min(), jj.max())
 
 
+def _to_grid(frame_bits, base):
+    """Bits of a frame whose bit 0 is cell bit ``base``, as cell bits."""
+    return frame_bits << base if base >= 0 else frame_bits >> -base
+
+
 @settings(max_examples=150)
-@given(packed_masks(), st.integers(1, 200), st.integers(0, 2))
-def test_shifted_pattern_is_the_forbidden_set(problem, min_sq, extra):
+@given(packed_masks(), st.integers(1, 200), st.integers(0, 2), st.integers(0, 80))
+def test_shifted_pattern_is_the_forbidden_set(problem, min_sq, extra, top_index):
     """On the grid's cells, the pattern shifted onto any cell is exactly the
     cells at a forbidden offset from it, also when the forbidden square is
-    wider than the grid; so ANDs of shifted patterns are exact."""
+    wider than the grid; so ANDs of shifted patterns are exact.  In the
+    frame of a higher cell, where ``propagate`` intersects them, the
+    pattern moved onto a lower cell is the pattern shifted down
+    (``_forbidden_from_all``), with the same cells."""
     mask, _ = problem
     nx, ny = mask.shape
     reach = forbidden_reach(min_sq, "relaxed")
@@ -564,12 +691,26 @@ def test_shifted_pattern_is_the_forbidden_set(problem, min_sq, extra):
     pattern = _pattern(min_sq, "relaxed", reach, stride)
     bits = _pack(mask, stride)
     ii, jj = np.indices(mask.shape)
+    centre = reach * (stride + 1)
+
+    def cells_of(cell_bits):
+        got = _unpack(bits & cell_bits, nx, stride)
+        assert not got[:, ny:].any()
+        return got[:, :ny]
+
+    ti, tj = divmod(top_index % (nx * ny), ny)
+    top = ti * stride + tj
+    from_top = forbidden(ii - ti, jj - tj, min_sq, "relaxed")
     for i in range(nx):
         for j in range(ny):
-            got = _unpack(bits & _shifted(pattern, i, j, reach, stride), nx, stride)
             want = mask & forbidden(ii - i, jj - j, min_sq, "relaxed")
-            assert np.array_equal(got[:, :ny], want)
-            assert not got[:, ny:].any()
+            shifted = _to_grid(pattern, i * stride + j - centre)
+            assert np.array_equal(cells_of(shifted), want)
+            if i * stride + j <= top:
+                common = _forbidden_from_all(pattern, top, [i * stride + j], pattern)
+                assert np.array_equal(
+                    cells_of(_to_grid(common, top - centre)), want & from_top
+                )
 
 
 @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
