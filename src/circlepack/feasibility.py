@@ -33,16 +33,34 @@ pattern puts offset (di, dj) at bit (i + di)*S + (j + dj), and one AND
 finds every candidate that conflicts with a circle at (i, j).
 
 Domains are never written in place: clearing makes new ints, and when the
-pattern hits no candidate the parent domain is reused as it is.  Adjacent
-circles with equal domains (equal circles, mostly) share one domain, and a
-circle whose domain and pair threshold match its predecessor's takes the
-predecessor's cleared domain, so a node clears once per distinct (domain,
-threshold) rather than once per unassigned circle.  Each domain carries its
-exact bounding box, read from bit lengths: the lowest and highest set bit
-of the row-major int give the first and last row, those of the
-column-major int the first and last column.  The box is the input of the
-farthest-pair rule and the window in which the candidate order is
-unpacked; an int of 0 is an empty domain.
+pattern hits no candidate the parent domain is reused as it is.  Each
+domain carries its exact bounding box, read from bit lengths: the lowest
+and highest set bit of the row-major int give the first and last row,
+those of the column-major int the first and last column.  The box is the
+input of the farthest-pair rule and the window in which the candidate
+order is unpacked; an int of 0 is an empty domain.
+
+A node of circle t groups the circles t+1..n-1 into runs: maximal groups of
+adjacent circles that share one domain object (equal circles, mostly) and
+one pair threshold against circle t.  Every circle of a run is cleared by
+the same pattern from the same domain, so each child clears each run once
+and the whole run takes the one cleared domain.  Most children die: a run
+empties (a wipeout) or the farthest-pair rule cuts them.  Such a child
+writes nothing; its cleared domains live only in the loop's locals.  Only
+a child that descends writes its position and each changed run's domain,
+one slice assignment per run, and puts the parent's domains back when its
+subtree returns.  The child's farthest-pair test reads the boxes of
+circles t+1 and t+2 only, so it runs as soon as the run holding t+2 is
+cleared (the first run, or the second when the first is circle t+1
+alone), and a cut child skips the clears of the later runs.  The test
+reads the same two cleared boxes as it would after every clear, so no
+decision changes.  One count does: each pruned child counts once, under
+the first rule that prunes it in the loop's order, so a child that the
+farthest-pair rule cuts counts in ``farthest_pair`` even when a later run
+would have emptied.  The node count and the limits are read at the
+child's start, before any clear, so a search that a limit stops inside a
+run of pruned siblings ends with its ancestors' positions and domains and
+no trace of those siblings.
 
 Most clears that empty a domain are decided from its box alone, before
 the AND.  ``forbidden`` is monotone in |di| and |dj| in both modes: its
@@ -53,7 +71,9 @@ b = max(j - j0, j1 - j) columns, the offset of the box corner farthest
 from (i, j).  So when forbidden(a, b) holds, every candidate conflicts,
 the AND would clear them all, and the domain empties with no big-int
 operation.  When it does not hold the AND runs, so the test changes no
-decision and no count.
+decision and no count.  The node loop writes this test and the
+farthest-pair test inline, as (a + s)^2 + (b + s)^2 < min_sq with a, b >= 0:
+the formula of ``forbidden``, which stays the definition.
 """
 
 from __future__ import annotations
@@ -142,8 +162,10 @@ class SolveOutcome:
     reported as unknown, never as infeasible.
 
     ``farthest_pair`` counts the nodes that rule cuts off; ``wipeout``
-    counts the conditional eliminations that emptied a domain.  Like
-    ``nodes`` they are deterministic for one problem, limits and pruning.
+    counts the conditional eliminations that emptied a domain.  A node
+    counts under the first rule that prunes it, in the order of the node
+    loop (module docstring).  Like ``nodes`` they are deterministic for one
+    problem, limits and pruning.
     """
 
     status: Literal["feasible", "infeasible", "unknown"]
@@ -436,6 +458,8 @@ class _Engine:
         """The farthest-pair rule at the node of circle ``t``: even the
         farthest candidates of the two largest unassigned circles are too
         close (bounding-box upper bound on distance).  Counts its cuts.
+        This is the test at the root and on the path without conditional
+        elimination; the node loop of ``_dfs`` runs the same test inline.
 
         No domain the search sees is empty, so both boxes exist: solve
         rejects an empty start domain, and elimination stops at the first
@@ -490,75 +514,98 @@ class _Engine:
                 positions[t] = None
             return False
 
-        # the node loop does the node tick and the conditional elimination
-        # itself, since a call per node or per clear costs more than most
-        # clears (the limits stay in _check_limits).  After
-        # placing circle t at (i, j) it clears the conflicting candidates
-        # from the domains of circles t+1..n-1 and saves the replaced ones
-        # for putting back.  A clear first tests the box corner farthest
-        # from (i, j): when that conflicts, every candidate does, and the
-        # domain empties with no big-int work (module docstring).
-        # Otherwise one AND with the threshold's forbidden pattern, shifted
-        # onto (i, j), finds the conflicting bits and one XOR clears them;
-        # a domain with none is kept as it is.  The child's farthest-pair
-        # test runs here too, so a child that it cuts costs no _dfs call
-        mode, n, min_sq = self.mode, self.n, self.min_sq[t]
+        # the node loop does the node tick, the conditional elimination and
+        # the child's farthest-pair test itself, since a call per child or
+        # per clear costs more than most children (the limits stay in
+        # _check_limits).  The circles t+1..n-1 fall into runs of adjacent
+        # circles that share one domain and one threshold against circle t;
+        # a run is cleared once per child, and its box is widened by the
+        # mode's corner offset (0 restricted, 1 relaxed), so that the
+        # box-corner test below is ``forbidden`` of the farthest corner
+        # (module docstring)
+        n, min_sq = self.n, self.min_sq[t]
         patterns, m = self.patterns, self.reach
         s, c = self.row_stride, self.col_stride
+        e = 1 if self.mode == "relaxed" else 0
+        # what a child reads of each run, and where a descending child
+        # writes it: (first circle, stop, domain)
+        runs, spans = [], []
+        k = t + 1
+        while k < n:
+            domain, threshold = masks[k], min_sq[k]
+            stop = k + 1
+            while stop < n and masks[stop] is domain and min_sq[stop] == threshold:
+                stop += 1
+            rows, cols, (i0, i1, j0, j1) = domain
+            i0, i1, j0, j1 = i0 - e, i1 + e, j0 - e, j1 + e
+            runs.append([domain, rows, cols, i0, i1, i0 + i1, j0, j1, j0 + j1,
+                         threshold, *patterns[threshold], False])
+            spans.append((k, stop, domain))
+            k = stop
+        # the child's farthest-pair test reads the boxes of circles t+1 and
+        # t+2, so it runs as soon as the run holding t+2 is cleared
+        if self.prune.farthest_pair and t + 2 < n:
+            runs[0 if spans[0][1] > t + 2 else 1][-1] = True
+            pair_sq = self.min_sq[t + 1][t + 2]
         for i, j in self._ordered(t, masks[t]):
             self.nodes += 1
             if self.nodes >= self._next_check:
                 self._check_limits()
-            positions[t] = (i, j)
-            saved = []
-            source = threshold = cleared = None
-            for k in range(t + 1, n):
-                # a circle that shares circle k - 1's domain and threshold
-                # shares its cleared domain too
-                if masks[k] is not source or min_sq[k] != threshold:
-                    source, threshold = masks[k], min_sq[k]
-                    rows, cols, (i0, i1, j0, j1) = source
-                    if forbidden(
-                        i1 - i if i + i < i0 + i1 else i - i0,
-                        j1 - j if j + j < j0 + j1 else j - j0,
-                        threshold,
-                        mode,
-                    ):
-                        cleared = 0, 0, None
-                    else:
-                        pattern_rows, pattern_cols = patterns[threshold]
-                        base = (i - m) * s + j - m
-                        hit = rows & (
-                            pattern_rows << base if base >= 0 else pattern_rows >> -base
-                        )
-                        if not hit:
-                            cleared = None
-                        elif hit == rows:
-                            cleared = 0, 0, None
-                        else:
-                            rows ^= hit
-                            base = (j - m) * c + i - m
-                            cols ^= cols & (
-                                pattern_cols << base
-                                if base >= 0
-                                else pattern_cols >> -base
-                            )
-                            cleared = rows, cols, self._box(rows, cols)
-                if cleared is None:
-                    continue
-                saved.append((k, masks[k]))
-                masks[k] = cleared
-                if not cleared[0]:
+            row_base = (i - m) * s + j - m
+            col_base = (j - m) * c + i - m
+            cleared = []
+            for (domain, rows, cols, i0, i1, isum, j0, j1, jsum, threshold,
+                 pattern_rows, pattern_cols, pair_test) in runs:
+                # the box corner farthest from (i, j) conflicts: so does
+                # every candidate.  Otherwise one AND with the forbidden
+                # pattern shifted onto (i, j) finds the conflicting bits and
+                # one XOR clears them; a run with none keeps its domain
+                a = i1 - i if i + i < isum else i - i0
+                b = j1 - j if j + j < jsum else j - j0
+                if a * a + b * b < threshold:
                     self.wipeouts += 1
-                    found = False
                     break
+                hit = rows & (
+                    pattern_rows << row_base if row_base >= 0 else pattern_rows >> -row_base
+                )
+                if hit:
+                    if hit == rows:
+                        self.wipeouts += 1
+                        break
+                    rows ^= hit
+                    cols ^= cols & (
+                        pattern_cols << col_base if col_base >= 0 else pattern_cols >> -col_base
+                    )
+                    domain = rows, cols, (
+                        ((rows & -rows).bit_length() - 1) // s,
+                        (rows.bit_length() - 1) // s,
+                        ((cols & -cols).bit_length() - 1) // c,
+                        (cols.bit_length() - 1) // c,
+                    )
+                cleared.append(domain)
+                if pair_test:
+                    # farthest pair of circles t+1 (the first run) and t+2
+                    # (this run): the test of _farthest_prunes
+                    a0, a1, a2, a3 = cleared[0][2]
+                    b0, b1, b2, b3 = domain[2]
+                    a = (a1 - b0 if a1 - b0 > b1 - a0 else b1 - a0) + e
+                    b = (a3 - b2 if a3 - b2 > b3 - a2 else b3 - a2) + e
+                    if a * a + b * b < pair_sq:
+                        self.farthest_prunes += 1
+                        break
             else:
-                found = not self._farthest_prunes(t + 1) and self._dfs(t + 1)
-            for k, domain in saved:
-                masks[k] = domain
-            if found:
-                return True
-            positions[t] = None
+                # the child descends: only now are its position and its
+                # cleared domains written, and put back after
+                positions[t] = (i, j)
+                for (start, stop, domain), new in zip(spans, cleared):
+                    if new is not domain:
+                        masks[start:stop] = [new] * (stop - start)
+                found = self._dfs(t + 1)
+                for start, stop, domain in spans:
+                    masks[start:stop] = [domain] * (stop - start)
+                if found:
+                    return True
+                positions[t] = None
         return False
 
     def run(self) -> SolveOutcome:

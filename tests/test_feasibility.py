@@ -4,11 +4,14 @@ The reference oracle below decides small problems (at most three circles)
 by exhaustive vectorized enumeration over the candidate domains, deriving
 the pairwise integer thresholds independently from exact rational
 arithmetic.  The solver must agree with it in both modes and under every
-pruning configuration.
+pruning configuration.  A second reference, a plain depth-first search on
+numpy masks, pins the node loop itself: its counts, its stops and the
+state it leaves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import product
 from pathlib import Path
@@ -16,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import circlepack
@@ -36,6 +39,7 @@ from circlepack.grid import (
     _pack,
     _unpack,
     forbidden,
+    forbidden_reach,
     grid_for_instance,
     min_sq_steps,
     separation_frontier,
@@ -155,10 +159,13 @@ def _place_first(engine: _Engine, i: int, j: int) -> bool:
     first node places it there.  When no domain empties, the node limit
     stops the search at the next node, and ``engine.masks`` keeps the
     domains that the elimination wrote for circles 2 and 3.  When one
-    empties, the search puts the domains back and ends infeasible.
+    empties, the search writes no domain and no position and ends
+    infeasible; the positions are reset first, since the previous run, which
+    the node limit stopped, left circle 1's there.
     """
     s, c = engine.row_stride, engine.col_stride
     engine.masks[0] = (1 << i * s + j, 1 << j * c + i, (i, i, j, j))
+    engine.positions[:] = [None] * engine.n
     engine.nodes = engine.wipeouts = 0
     outcome = engine.run()
     assert (outcome.status, outcome.nodes, outcome.wipeout) in {
@@ -494,20 +501,84 @@ class TestPackedDomains:
             assert np.array_equal(window[:, :ny], mask[i0 : i1 + 1])
 
     @staticmethod
-    def _engine(mask: np.ndarray, min_sq: Mapping, mode: str) -> _Engine:
-        """An engine whose three circles all have the domain ``mask``, set
-        up for ``_place_first``; only its packing and clearing are
-        exercised, so the grid is nominal."""
+    def _problem(masks: list[np.ndarray], min_sq: Mapping, mode: str) -> FeasibilityProblem:
+        """Three circles with the domains ``masks`` and the thresholds
+        ``min_sq``; only the search machinery is exercised, so the grid is
+        nominal."""
         instance = Instance.from_radii("bits", [1.0, 1.0, 1.0])
-        problem = FeasibilityProblem(
+        return FeasibilityProblem(
             instance=instance,
             grid=grid_for_instance(instance, 4.0, 0.5),
             mode=mode,
-            domains={cid: CandidateSet(cid, mode, mask) for cid in (1, 2, 3)},
+            domains={cid: CandidateSet(cid, mode, mask) for cid, mask in enumerate(masks, 1)},
             radii=instance.radii,
             min_sq=min_sq,
         )
+
+    @classmethod
+    def _engine(cls, mask: np.ndarray, min_sq: Mapping, mode: str) -> _Engine:
+        """An engine whose three circles all have the domain ``mask``, set
+        up for ``_place_first``."""
+        problem = cls._problem([mask] * 3, min_sq, mode)
         return _Engine(problem, SolveLimits(max_nodes=1), PruneConfig(farthest_pair=False))
+
+    @classmethod
+    def _search(cls, masks: list[np.ndarray], min_sq: Mapping, mode: str, prune: PruneConfig,
+                clears: bool = True):
+        """Search three circles with the given domains and thresholds.  With
+        ``clears`` false the forbidden patterns are empty, so only the
+        box-corner test can empty a domain."""
+        engine = _Engine(cls._problem(masks, min_sq, mode), SolveLimits(), prune)
+        if not clears:
+            engine.patterns = {threshold: (0, 0) for threshold in engine.patterns}
+        return engine.run()
+
+    @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+    def test_inline_tests_are_forbidden_at_every_offset(self, mode):
+        """The node loop's inline box-corner and farthest-pair tests hold
+        exactly at the offsets where ``forbidden`` does, for every offset up
+        to one past the threshold's reach.
+
+        Box corner: circle 2's domain is one cell at the offset from circle
+        1's, and no pattern clears anything, so circle 2 empties exactly
+        when the box-corner test fires.  Farthest pair: circles 2 and 3 are
+        free of circle 1, and their boxes lie at the offset, either as two
+        one-cell domains (circle 3 in the run after circle 2's) or as one
+        shared two-cell domain (one run); the test cuts circle 1's only
+        child exactly when it fires, and counts it.
+        """
+        for threshold in (0, 1, 2, 3, 5, 8, 13, 18, 50):
+            m = max(forbidden_reach(threshold, mode), 0) + 1
+            shape = (2 * m + 1, 2 * m + 1)
+
+            def cells(*points):
+                mask = np.zeros(shape, dtype=bool)
+                for point in points:
+                    mask[point] = True
+                return mask
+
+            full, centre = np.ones(shape, dtype=bool), (m, m)
+            for di in range(-m, m + 1):
+                for dj in range(-m, m + 1):
+                    expected = bool(forbidden(di, dj, threshold, mode))
+                    at = (m + di, m + dj)
+                    outcome = self._search(
+                        [cells(centre), cells(at), full],
+                        {(1, 2): threshold, (1, 3): 0, (2, 3): 0},
+                        mode, PruneConfig(farthest_pair=False), clears=False,
+                    )
+                    assert outcome.wipeout == expected, ("corner", threshold, di, dj)
+                    layouts = [[cells(centre), cells(at)]]
+                    if (di, dj) != (0, 0):
+                        layouts.append([cells(centre, at)] * 2)
+                    for pair in layouts:
+                        outcome = self._search(
+                            [cells((0, 0)), *pair],
+                            {(1, 2): 0, (1, 3): 0, (2, 3): threshold},
+                            mode, PruneConfig(),
+                        )
+                        assert outcome.farthest_pair == expected, (
+                            "farthest", len(pair), threshold, di, dj)
 
     @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
     @pytest.mark.parametrize(
@@ -577,19 +648,270 @@ class TestPackedDomains:
                 _assert_step_clears(engine, initial, i, j, expected)
 
 
+# --------------------------------------------------------------------------
+# reference node loop: a plain depth-first search on numpy masks
+# --------------------------------------------------------------------------
+
+
+class _Stop(Exception):
+    """The reference search passed its node limit at a node whose circles
+    had the domains ``domains``."""
+
+    def __init__(self, domains: list[np.ndarray]) -> None:
+        self.domains = domains
+
+
+def reference_search(problem: FeasibilityProblem, max_nodes: int, prune: PruneConfig):
+    """((status, nodes, farthest_pair, wipeout, assignment), positions,
+    domains) of a plain depth-first search, with the counting rules of the
+    feasibility module docstring and none of the engine's machinery: numpy
+    masks, each unassigned circle cleared on its own with ``forbidden`` at
+    every cell, and the farthest-pair test on exact bounding boxes.
+    ``positions`` and ``domains`` are the state the search ends in: the
+    placed circles' positions (None for the others) and, after a stop, the
+    domains of the node where it stopped, else the start domains.
+
+    Circles are placed in id order, each trying its candidates nearest the
+    previous circle's position first (the container centre for circle 1),
+    ties broken by row, then column.  A child counts one node at its start,
+    and the search stops at the node that passes ``max_nodes``.  With
+    conditional elimination a child clears circles t+1 and t+2, then takes
+    the farthest-pair test, then clears the rest: it counts under the first
+    rule that prunes it.  The last circle counts one node per candidate
+    left, or one when none is.
+    """
+    n, mode, grid = problem.instance.n, problem.mode, problem.grid
+    threshold = {(a, b): _pair_min_sq(problem, a + 1, b + 1)
+                 for a in range(n) for b in range(a + 1, n)}
+    start = [problem.domains[cid].mask for cid in range(1, n + 1)]
+    if not all(mask.any() for mask in start):
+        return ("infeasible", 0, 0, 0, None), [None] * n, start
+    if grid.kind == "circle":
+        ref = (float(grid.theta), float(grid.theta))
+    else:
+        ref = (grid.theta / 2.0, float(grid.width_exact / (2 * grid.delta_exact)))
+    if mode == "relaxed":
+        ref = (ref[0] - 0.5, ref[1] - 0.5)
+    shape = problem.domains[1].mask.shape
+    ii, jj = np.indices(shape)
+    count = {"nodes": 0, "farthest_pair": 0, "wipeout": 0}
+    positions: list[tuple[int, int]] = []
+
+    def tick(domains: list[np.ndarray], nodes: int = 1) -> None:
+        count["nodes"] += nodes
+        if count["nodes"] > max_nodes:
+            raise _Stop(domains)
+
+    def ordered(mask: np.ndarray) -> list[tuple[int, int]]:
+        pi, pj = positions[-1] if positions else ref
+        cells = [(int(i), int(j)) for i, j in np.argwhere(mask)]
+        return sorted(cells, key=lambda c: ((c[0] - pi) ** 2 + (c[1] - pj) ** 2, c))
+
+    def conflicts(t: int, i: int, j: int) -> bool:
+        return any(forbidden(i - pi, j - pj, threshold[u, t], mode)
+                   for u, (pi, pj) in enumerate(positions))
+
+    def farthest_cut(domains: list[np.ndarray], a: int) -> bool:
+        if not prune.farthest_pair or a + 1 >= n:
+            return False
+        a0, a1, a2, a3 = bounding_box(domains[a])
+        b0, b1, b2, b3 = bounding_box(domains[a + 1])
+        di, dj = max(a1 - b0, b1 - a0), max(a3 - b2, b3 - a2)
+        if not forbidden(di, dj, threshold[a, a + 1], mode):
+            return False
+        count["farthest_pair"] += 1
+        return True
+
+    def dfs(t: int, domains: list[np.ndarray]) -> bool:
+        if t == n - 1:
+            cells = ordered(domains[t])
+            if not prune.conditional:
+                cells = [(i, j) for i, j in cells if not conflicts(t, i, j)]
+            tick(domains, len(cells) or 1)
+            if cells:
+                positions.append(cells[0])
+            return bool(cells)
+        for i, j in ordered(domains[t]):
+            tick(domains)
+            if prune.conditional:
+                child = list(domains)
+                pruned = False
+                for k in range(t + 1, n):
+                    child[k] = domains[k] & ~forbidden(ii - i, jj - j, threshold[t, k], mode)
+                    if not child[k].any():
+                        count["wipeout"] += 1
+                        pruned = True
+                        break
+                    if k == t + 2 and farthest_cut(child, t + 1):
+                        pruned = True
+                        break
+                if pruned:
+                    continue
+            else:
+                if conflicts(t, i, j):
+                    continue
+                child = domains
+                if farthest_cut(child, t + 1):
+                    continue
+            positions.append((i, j))
+            if dfs(t + 1, child):
+                return True
+            positions.pop()
+        return False
+
+    try:
+        found = not farthest_cut(start, 0) and dfs(0, start)
+        status, domains = "feasible" if found else "infeasible", start
+    except _Stop as stop:
+        found, status, domains = False, "unknown", stop.domains
+    assignment = {t + 1: p for t, p in enumerate(positions)} if found else None
+    outcome = status, count["nodes"], count["farthest_pair"], count["wipeout"], assignment
+    return outcome, positions + [None] * (n - len(positions)), domains
+
+
+@st.composite
+def runs_problems(draw) -> FeasibilityProblem:
+    """3 to 6 circles whose radii repeat 2 or 3 values, so that runs of 1 to
+    3 circles sharing a domain occur, in a disc or a strip, on a grid of at
+    most about 8 steps a side, in a drawn mode, with or without symmetry."""
+    values = draw(st.lists(st.floats(0.6, 1.4), min_size=2, max_size=3, unique=True))
+    n = draw(st.sampled_from([3, 4, 5, 6]))
+    radii = sorted((draw(st.sampled_from(values)) for _ in range(n)), reverse=True)
+    r_max, r_min = radii[0], radii[-1]
+    if draw(st.booleans()):
+        instance = Instance.from_radii("runs", radii)
+        # from the area bound up to the side-by-side size, capped so that
+        # theta stays small
+        lo = max(1.01 * r_max, math.sqrt(sum(r * r for r in radii)))
+        size = draw(st.floats(lo, max(1.01 * lo, min(sum(radii), 4.0 * r_min))))
+        theta_min = math.floor(size * math.sqrt(2.0) / r_min) + 1
+        theta = draw(st.integers(theta_min, max(theta_min, 6)))
+        grid = grid_for_instance(instance, size, size / theta)
+    else:
+        width = draw(st.floats(2.0 * r_max, 2.0 * (r_max + radii[1])))
+        instance = Instance.from_radii("runs", radii, StripContainer(width))
+        size = draw(st.floats(2.0 * r_max, 2.0 * sum(radii)))
+        delta = min(max(size, width) / 8.0, 0.99 * r_min / math.sqrt(2.0))
+        grid = grid_for_instance(instance, size, delta)
+    mode = draw(st.sampled_from(["restricted", "relaxed"]))
+    return build_problem(instance, grid, mode, symmetry=draw(st.booleans()))
+
+
+def _run_lengths(problem: FeasibilityProblem) -> list[int]:
+    """Lengths of the runs at the root node: adjacent circles 2..n that
+    share one engine domain and one threshold against circle 1."""
+    engine = _Engine(problem, SolveLimits(), PruneConfig())
+    lengths, k = [], 1
+    while k < engine.n:
+        stop = k + 1
+        while (stop < engine.n and engine.masks[stop] is engine.masks[k]
+               and engine.min_sq[0][stop] == engine.min_sq[0][k]):
+            stop += 1
+        lengths.append(stop - k)
+        k = stop
+    return lengths
+
+
+class TestReferenceLoop:
+    """The engine's node loop, with its runs, its lazy farthest-pair test and
+    its writes for descending children only, against ``reference_search``."""
+
+    # full searches stop here; a reference node costs numpy calls per circle
+    CAP = 1500
+
+    # most draws are small searches, and the cases that tell a wrong box or
+    # a wrong counting order apart are a few per hundred draws, so this test
+    # takes four times the profile's examples
+    @settings(deadline=None, max_examples=4 * settings.default.max_examples)
+    @given(problem=runs_problems(), prune=st.sampled_from(PRUNE_CONFIGS),
+           fraction=st.floats(0.0, 1.0))
+    # the smallest draw found on which the farthest-pair test, reading the
+    # first run's box twice, differs: circle 2 alone in the first run
+    @example(
+        problem=build_problem(
+            Instance.from_radii("eq3", [1.0, 1.0, 1.0]),
+            grid_for_instance(Instance.from_radii("eq3", [1.0, 1.0, 1.0]), 2.0, 0.5),
+            "relaxed",
+        ),
+        prune=PruneConfig(),
+        fraction=1.0,
+    )
+    def test_matches_reference_search(self, problem, prune, fraction):
+        """Status, nodes, both prune counts and the assignment, and the
+        positions and domains the search ends in, at the full count (up to
+        a cap) and at a node limit the fraction ``fraction`` of it."""
+        if problem.trivially_infeasible:
+            outcome = solve(problem, prune=prune)
+            got = (outcome.status, outcome.nodes, outcome.farthest_pair,
+                   outcome.wipeout, outcome.assignment)
+            assert got == reference_search(problem, self.CAP, prune)[0]
+            return
+        full = solve(problem, SolveLimits(max_nodes=self.CAP), prune)
+        for max_nodes in sorted({self.CAP, max(1, round(fraction * full.nodes))}):
+            engine = _Engine(problem, SolveLimits(max_nodes=max_nodes), prune)
+            outcome = engine.run()
+            got = (outcome.status, outcome.nodes, outcome.farthest_pair,
+                   outcome.wipeout, outcome.assignment)
+            expected, positions, domains = reference_search(problem, max_nodes, prune)
+            assert got == expected, (max_nodes, prune)
+            assert engine.positions == positions
+            for domain, mask in zip(engine.masks, domains):
+                _assert_domain_is(engine, domain, mask)
+
+    @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+    def test_child_that_both_rules_prune_counts_as_farthest_pair(self, mode):
+        """Four unit circles at spacing 0.5 (threshold 16), each domain one
+        cell.  Circle 1's only child keeps circles 2 and 3, which are too
+        close for each other, and would empty circle 4: it counts once, as
+        a farthest-pair cut, since that test runs before circle 4's clear."""
+        instance = Instance.from_radii("both", [1.0] * 4)
+        grid = grid_for_instance(instance, 4.0, 0.5)
+        problem = build_problem(instance, grid, mode)
+        cells = {1: (8, 8), 2: (8, 14), 3: (10, 14), 4: (8, 10)}
+        domains = {}
+        for cid, cell in cells.items():
+            mask = np.zeros_like(problem.domains[cid].mask)
+            mask[cell] = True
+            domains[cid] = CandidateSet(cid, mode, mask)
+        problem = dataclasses.replace(problem, domains=domains)
+        outcome = solve(problem)
+        got = (outcome.status, outcome.nodes, outcome.farthest_pair,
+               outcome.wipeout, outcome.assignment)
+        assert got == ("infeasible", 1, 1, 0, None)
+        assert got == reference_search(problem, self.CAP, PruneConfig())[0]
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_draws_hold_runs(self, length):
+        """The drawn problems hold runs of one, two and three circles."""
+        find(
+            runs_problems(),
+            lambda problem: not problem.trivially_infeasible
+            and length in _run_lengths(problem),
+            settings=settings(database=None, max_examples=500),
+        )
+
+
 # Search traces recorded with the engine that copied every unassigned
 # domain at every child (commit a601e24), at the first trial of a run with
 # relaxed-search budgets (eq-07, strip-b) and at two zimm-06 trials: the
 # status, the node count, the farthest-pair and wipeout counts (recorded at
 # commit 1fe458f, before the box-corner wipeout test), the positions when the
 # search stopped (the assignment when feasible) and the candidates left in
-# each domain then.
+# each domain then.  The strip-a, strip-c and zimm-14 traces were recorded
+# at commit ce1edf0, with the per-circle node loop: strip-a (radii 2, 1.5,
+# 1.5, 1, 1) and strip-c (3, 2, 2, 1) hold runs of two equal circles among
+# mixed radii, the strip-a trace at 1500 nodes stops inside a run of pruned
+# siblings, and zimm-14's is its first restricted driver trial, on a 201 x
+# 201 grid.
 INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
 TRACE_GRIDS = {
     ("eq-07", 2.822875655533296): 0.04428108611717624,
     ("strip-b", 5.356197490192345): 0.1609521274519139,
     ("zimm-06", 11.086517007382739): 0.12037148853250745,
     ("zimm-06", 11.060185744266253): 0.12037148853250745,
+    ("strip-a", 9.239869883949108): 0.044194173824159216,
+    ("strip-c", 12.791385577790518): 0.05040921424670558,
+    ("zimm-14", 35.110484684327254): 0.35355339059327373,
 }
 TRACE_PRUNES = {
     "all": PruneConfig(farthest_pair=True, conditional=True),
@@ -678,6 +1000,37 @@ PINNED_TRACES = (
     ("zimm-06", 11.060185744266253, "relaxed", "condonly", 3000, "feasible", 1441, 0, 0,
      ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
      (124, 136, 1257, 4374, 9314, 16072)),
+    ("strip-a", 9.239869883949108, "restricted", "all", 3000, "unknown", 3001, 680, 2313,
+     ((161, 68), None, None, None, None),
+     (749, 2196, 2196, 5057, 5057)),
+    ("strip-a", 9.239869883949108, "restricted", "all", 1500, "unknown", 1501, 672, 826,
+     ((161, 67), None, None, None, None),
+     (749, 2190, 2190, 5044, 5044)),
+    ("strip-a", 9.239869883949108, "restricted", "condonly", 3000, "unknown", 3001, 0, 2933,
+     ((117, 56), None, None, None, None),
+     (749, 181, 181, 2342, 2342)),
+    ("strip-a", 9.239869883949108, "relaxed", "all", 3000, "feasible", 642, 634, 0,
+     ((155, 67), (84, 34), (34, 79), (25, 24), (89, 90)),
+     (749, 2519, 2519, 7040, 7040)),
+    ("strip-a", 9.239869883949108, "relaxed", "condonly", 3000, "unknown", 3001, 0, 2936,
+     ((115, 57), None, None, None, None),
+     (749, 194, 194, 2637, 2637)),
+    ("strip-c", 12.791385577790518, "restricted", "all", 3000, "infeasible", 369, 353, 16,
+     (None, None, None, None),
+     (369, 11, 11, 10607)),
+    ("strip-c", 12.791385577790518, "restricted", "condonly", 3000, "infeasible", 1754, 0, 1401,
+     (None, None, None, None),
+     (369, 11, 11, 10607)),
+    ("strip-c", 12.791385577790518, "relaxed", "all", 3000, "feasible", 1051, 360, 0,
+     ((193, 67), (99, 39), (39, 89), (26, 32)),
+     (369, 8, 8, 10634)),
+    ("strip-c", 12.791385577790518, "relaxed", "condonly", 3000, "feasible", 2456, 0, 1405,
+     ((193, 67), (99, 39), (39, 89), (26, 32)),
+     (369, 8, 8, 10634)),
+    ("zimm-14", 35.110484684327254, "restricted", "all", 3000, "unknown", 3001, 2491, 387,
+     ((107, 113), (54, 57), (124, 39), (36, 123), (169, 84), (71, 168),
+      None, None, None, None, None, None, None, None),
+     (2758, 2, 16, 3, 3, 2, 40, 454, 939, 1515, 2192, 3185, 4652, 6939)),
 )
 
 
