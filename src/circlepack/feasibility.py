@@ -74,6 +74,28 @@ operation.  When it does not hold the AND runs, so the test changes no
 decision and no count.  The node loop writes this test and the
 farthest-pair test inline, as (a + s)^2 + (b + s)^2 < min_sq with a, b >= 0:
 the formula of ``forbidden``, which stays the definition.
+
+The same monotonicity decides most farthest-pair cuts before the clear
+finishes.  On the run that holds circle t+2, once the box-corner test and
+the AND have not emptied it, the test runs in three stages, each on boxes
+that contain the exact cleared ones.  A row at offset di from (i, j) is
+forbidden whole exactly when its farthest column, at offset b of the box
+corner, is: forbidden(di, b) holds, and then every cell of the row, at
+|dj| <= b, is forbidden too.  Monotone in |di|, those rows are the ones
+with |di| < h, h the half-width that ``_band_widths`` gives for b + s: one
+band around row i.  The band cannot cover both ends of the box, as then the
+box-corner test would have fired, so trimming it off the end it covers
+leaves a box that still holds every remaining candidate; columns are
+trimmed the same way with the row term a.  The first stage tests this
+trimmed box against circle t+1's exact cleared box, or against itself
+when t+1 is in the same run, before any XOR.  The second clears and
+reads the exact highest row and column, O(1) bit lengths, and tests again
+with the trimmed lows.  Only a child that survives both reads its lows
+with ``x & -x`` and takes the exact test.  The farthest pair of two boxes
+only grows when either box grows, so a pair forbidden on boxes that
+contain the exact ones is forbidden on the exact ones: each stage cuts
+only children that the exact test would cut, at the same point of the
+loop, and nodes, both counts, positions and domains stay as they were.
 """
 
 from __future__ import annotations
@@ -340,6 +362,21 @@ _Box = tuple[int, int, int, int]
 _Domain = tuple[int, int, _Box | None]
 
 
+def _band_widths(threshold: int, mode: Mode, size: int) -> list[int]:
+    """Half-widths of the bands a child forbids whole, for the staged
+    farthest-pair test (module docstring): entry k, for k = 0..size, is the
+    smallest d >= 0 with (d + e)^2 + k^2 >= threshold, e the mode's corner
+    offset (0 restricted, 1 relaxed).  When k is e plus the column offset
+    of a box's farthest corner from the child, the box's rows at |di| < d
+    from the child are forbidden whole; the same holds for columns."""
+    e = 1 if mode == "relaxed" else 0
+    widths = []
+    for b in range(size + 1):
+        rest = threshold - b * b
+        widths.append(max(math.isqrt(rest - 1) + 1 - e, 0) if rest > 0 else 0)
+    return widths
+
+
 class _LimitHit(Exception):
     def __init__(self, reason: str) -> None:
         self.reason = reason
@@ -366,7 +403,10 @@ class _Engine:
         thresholds = set(problem.min_sq.values())
         nx, ny = problem.domains[1].mask.shape
         self.reach, self.row_stride, rows = _packed_patterns(thresholds, self.mode, ny)
-        _, self.col_stride, cols = _packed_patterns(thresholds, self.mode, nx)
+        if nx == ny:
+            self.col_stride, cols = self.row_stride, rows
+        else:
+            _, self.col_stride, cols = _packed_patterns(thresholds, self.mode, nx)
         self.patterns: dict[int, tuple[int, int]] = {
             threshold: (rows[threshold], cols[threshold]) for threshold in thresholds
         }
@@ -388,6 +428,12 @@ class _Engine:
         for (a, b), threshold in problem.min_sq.items():
             self.min_sq[a - 1][b - 1] = threshold
             self.min_sq[b - 1][a - 1] = threshold
+        # the half-width tables of the staged farthest-pair test (module
+        # docstring), for the threshold of circle t against circle t+2
+        self.bands = {
+            threshold: _band_widths(threshold, self.mode, max(nx, ny))
+            for threshold in {self.min_sq[t][t + 2] for t in range(n - 2)}
+        }
 
         if grid.kind == "circle":
             ref = (float(grid.theta), float(grid.theta))
@@ -539,13 +585,14 @@ class _Engine:
             rows, cols, (i0, i1, j0, j1) = domain
             i0, i1, j0, j1 = i0 - e, i1 + e, j0 - e, j1 + e
             runs.append([domain, rows, cols, i0, i1, i0 + i1, j0, j1, j0 + j1,
-                         threshold, *patterns[threshold], False])
+                         threshold, *patterns[threshold], None])
             spans.append((k, stop, domain))
             k = stop
         # the child's farthest-pair test reads the boxes of circles t+1 and
-        # t+2, so it runs as soon as the run holding t+2 is cleared
+        # t+2, so it runs on the run holding t+2, which carries the
+        # half-width table of its threshold for the staged test
         if self.prune.farthest_pair and t + 2 < n:
-            runs[0 if spans[0][1] > t + 2 else 1][-1] = True
+            runs[0 if spans[0][1] > t + 2 else 1][-1] = self.bands[min_sq[t + 2]]
             pair_sq = self.min_sq[t + 1][t + 2]
         for i, j in self._ordered(t, masks[t]):
             self.nodes += 1
@@ -555,7 +602,7 @@ class _Engine:
             col_base = (j - m) * c + i - m
             cleared = []
             for (domain, rows, cols, i0, i1, isum, j0, j1, jsum, threshold,
-                 pattern_rows, pattern_cols, pair_test) in runs:
+                 pattern_rows, pattern_cols, band) in runs:
                 # the box corner farthest from (i, j) conflicts: so does
                 # every candidate.  Otherwise one AND with the forbidden
                 # pattern shifted onto (i, j) finds the conflicting bits and
@@ -572,20 +619,54 @@ class _Engine:
                     if hit == rows:
                         self.wipeouts += 1
                         break
+                    if band is not None:
+                        # this run holds circle t+2: the staged farthest-pair
+                        # test (module docstring), first on the box less the
+                        # bands of rows and columns that (i, j) forbids whole,
+                        # against circle t+1's exact box or this same box
+                        h = band[b]
+                        lo_i, hi_i = i0 + e, i1 - e
+                        if i - h < lo_i < i + h:
+                            lo_i = i + h
+                        if i - h < hi_i < i + h:
+                            hi_i = i - h
+                        h = band[a]
+                        lo_j, hi_j = j0 + e, j1 - e
+                        if j - h < lo_j < j + h:
+                            lo_j = j + h
+                        if j - h < hi_j < j + h:
+                            hi_j = j - h
+                        a0, a1, a2, a3 = cleared[0][2] if cleared else (lo_i, hi_i, lo_j, hi_j)
+                        a = (a1 - lo_i if a1 - lo_i > hi_i - a0 else hi_i - a0) + e
+                        b = (a3 - lo_j if a3 - lo_j > hi_j - a2 else hi_j - a2) + e
+                        if a * a + b * b < pair_sq:
+                            self.farthest_prunes += 1
+                            break
                     rows ^= hit
                     cols ^= cols & (
                         pattern_cols << col_base if col_base >= 0 else pattern_cols >> -col_base
                     )
+                    hi_i = (rows.bit_length() - 1) // s
+                    hi_j = (cols.bit_length() - 1) // c
+                    if band is not None:
+                        # then with the exact highs, read in O(1)
+                        if not cleared:
+                            a1, a3 = hi_i, hi_j
+                        a = (a1 - lo_i if a1 - lo_i > hi_i - a0 else hi_i - a0) + e
+                        b = (a3 - lo_j if a3 - lo_j > hi_j - a2 else hi_j - a2) + e
+                        if a * a + b * b < pair_sq:
+                            self.farthest_prunes += 1
+                            break
                     domain = rows, cols, (
                         ((rows & -rows).bit_length() - 1) // s,
-                        (rows.bit_length() - 1) // s,
+                        hi_i,
                         ((cols & -cols).bit_length() - 1) // c,
-                        (cols.bit_length() - 1) // c,
+                        hi_j,
                     )
                 cleared.append(domain)
-                if pair_test:
-                    # farthest pair of circles t+1 (the first run) and t+2
-                    # (this run): the test of _farthest_prunes
+                if band is not None:
+                    # last, the exact test of _farthest_prunes: the farthest
+                    # pair of circles t+1 (the first run) and t+2 (this run)
                     a0, a1, a2, a3 = cleared[0][2]
                     b0, b1, b2, b3 = domain[2]
                     a = (a1 - b0 if a1 - b0 > b1 - a0 else b1 - a0) + e

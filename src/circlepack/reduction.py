@@ -185,8 +185,8 @@ def _symmetry_masks(grid: Grid, n: int) -> dict[int, np.ndarray]:
     """
     out: dict[int, np.ndarray] = {}
     nx, ny = grid.cells_x, grid.cells_y
-    ii = np.arange(nx)[:, None] * np.ones((1, ny), dtype=int)
-    jj = np.ones((nx, 1), dtype=int) * np.arange(ny)[None, :]
+    ii = np.arange(nx)[:, None]
+    jj = np.arange(ny)[None, :]
     if grid.kind == "circle":
         out[1] = (ii >= grid.theta - 1) & (jj >= grid.theta - 1)
         if n >= 2:

@@ -27,6 +27,7 @@ from circlepack.feasibility import (
     FeasibilityProblem,
     PruneConfig,
     SolveLimits,
+    _band_widths,
     _Engine,
     assignment_to_placement,
     build_problem,
@@ -646,6 +647,141 @@ class TestPackedDomains:
                     for threshold in (clear, other)
                 ]
                 _assert_step_clears(engine, initial, i, j, expected)
+
+
+def _trimmed_box(box, i: int, j: int, widths: list[int], e: int):
+    """The first stage's superset box of the staged farthest-pair test
+    (feasibility module docstring): ``box`` less the band of rows that a
+    child at (i, j) forbids whole at the box's farthest column, and the
+    band of columns it forbids whole at the box's farthest row, with the
+    half-widths ``widths`` of ``_band_widths``."""
+    i0, i1, j0, j1 = box
+    a = max(abs(i0 - i), abs(i1 - i)) + e
+    b = max(abs(j0 - j), abs(j1 - j)) + e
+    h = widths[b]
+    lo_i = i + h if i - h < i0 < i + h else i0
+    hi_i = i - h if i - h < i1 < i + h else i1
+    h = widths[a]
+    lo_j = j + h if j - h < j0 < j + h else j0
+    hi_j = j - h if j - h < j1 < j + h else j1
+    return lo_i, hi_i, lo_j, hi_j
+
+
+def _pair_cut(box_a, box_b, pair_sq: int, mode: str) -> bool:
+    """The farthest-pair rule on two boxes: even their farthest cells are
+    forbidden."""
+    a0, a1, a2, a3 = box_a
+    b0, b1, b2, b3 = box_b
+    return bool(forbidden(max(a1 - b0, b1 - a0), max(a3 - b2, b3 - a2), pair_sq, mode))
+
+
+class TestStagedFarthestPair:
+    """The farthest-pair test of the node loop, staged on boxes that
+    contain the exact cleared boxes, against brute-force clears."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_trimmed_box_matches_brute_force(self, data):
+        """Random masks confined to a random window, a child at any cell of
+        the grid, thresholds from 0 to wider than the grid, in both modes.
+
+        The rule: once the box-corner test has not fired and the clear
+        leaves a candidate, the trimmed box contains the exact box of the
+        cleared mask, and every cut on the trimmed box, alone or with the
+        exact highs, against itself (circles t+1 and t+2 in one run) or
+        against another exact box (t+1 in an earlier run), is a cut on the
+        exact boxes.  The loop: one child of an engine whose circle 1 sits
+        at that cell counts the wipeout or the farthest-pair cut that the
+        brute-force clears and the exact boxes give, with circles 2 and 3
+        in one run or in two.
+        """
+        mode = data.draw(st.sampled_from(["restricted", "relaxed"]))
+        e = 1 if mode == "relaxed" else 0
+        nx, ny = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        ii, jj = np.indices((nx, ny))
+
+        def draw_mask() -> np.ndarray:
+            mask = np.zeros((nx, ny), dtype=bool)
+            if data.draw(st.booleans()):
+                # a few cells, whose box corners are mostly not cells: the
+                # clears that empty a run past the box-corner test
+                cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+                for point in data.draw(st.lists(cell, min_size=1, max_size=4)):
+                    mask[point] = True
+                return mask
+            cells = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+            a0, a1 = sorted(data.draw(st.tuples(st.integers(0, nx - 1), st.integers(0, nx - 1))))
+            b0, b1 = sorted(data.draw(st.tuples(st.integers(0, ny - 1), st.integers(0, ny - 1))))
+            mask[a0 : a1 + 1, b0 : b1 + 1] = True
+            return mask & np.array(cells, dtype=bool).reshape(nx, ny)
+
+        mask, other = draw_mask(), draw_mask()
+        i, j = data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1))
+        wide = 2 * (max(nx, ny) + 1) ** 2
+        threshold = st.one_of(st.just(0), st.integers(1, wide), st.integers(wide, 2 * wide))
+        clear, clear_other, pair_sq = (data.draw(threshold) for _ in range(3))
+
+        def cleared(domain: np.ndarray, t: int) -> np.ndarray:
+            return domain & ~forbidden(ii - i, jj - j, t, mode)
+
+        # the rule
+        box, exact = bounding_box(mask), bounding_box(cleared(mask, clear))
+        if box is not None and exact is not None:
+            i0, i1, j0, j1 = box
+            a = max(abs(i0 - i), abs(i1 - i)) + e
+            b = max(abs(j0 - j), abs(j1 - j)) + e
+            assert a * a + b * b >= clear, "the box-corner test fired on a live clear"
+            trimmed = _trimmed_box(box, i, j, _band_widths(clear, mode, max(nx, ny)), e)
+            assert trimmed[0] <= exact[0] and exact[1] <= trimmed[1]
+            assert trimmed[2] <= exact[2] and exact[3] <= trimmed[3]
+            highs = (trimmed[0], exact[1], trimmed[2], exact[3])
+            first = bounding_box(other)
+            for superset in (trimmed, highs):
+                if _pair_cut(superset, superset, pair_sq, mode):
+                    assert _pair_cut(exact, exact, pair_sq, mode)
+                if first is not None and _pair_cut(first, superset, pair_sq, mode):
+                    assert _pair_cut(first, exact, pair_sq, mode)
+
+        # the loop, at the one child (i, j); a node limit of 1 stops a child
+        # that descends at its own first child
+        cell = np.zeros((nx, ny), dtype=bool)
+        cell[i, j] = True
+        for second, clear_second in ((mask, clear), (other, clear_other)):
+            if not (mask.any() and second.any()):
+                continue
+            problem = TestPackedDomains._problem(
+                [cell, second, mask], {(1, 2): clear_second, (1, 3): clear, (2, 3): pair_sq}, mode
+            )
+            outcome = _Engine(problem, SolveLimits(max_nodes=1), PruneConfig()).run()
+            if _pair_cut((i, i, j, j), bounding_box(second), clear_second, mode):
+                expected = (0, 1, 0)  # the root's farthest-pair test
+            else:
+                boxes = [bounding_box(cleared(second, clear_second)), bounding_box(cleared(mask, clear))]
+                if None in boxes:
+                    expected = (1, 0, 1)
+                elif _pair_cut(*boxes, pair_sq, mode):
+                    expected = (1, 1, 0)
+                else:
+                    expected = (2, 0, 0)
+            assert (outcome.nodes, outcome.farthest_pair, outcome.wipeout) == expected
+
+
+    @pytest.mark.parametrize("mode, clear", [("restricted", 10), ("relaxed", 20)])
+    def test_run_emptied_past_the_box_corner_counts_as_wipeout(self, mode, clear):
+        """Circles 2 and 3 share the cells (0, 0) and (3, 3) of a 4 x 4
+        grid, and circle 1 sits at (0, 3).  The clear empties their run
+        although the box corner (3, 0) is allowed.  The trimmed box of
+        that run is (1..3, 0..2), small enough for the pair threshold, so a
+        staged test before the AND would count the child as a
+        farthest-pair cut; it counts as a wipeout."""
+        cell, pair = np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=bool)
+        cell[0, 3] = pair[0, 0] = pair[3, 3] = True
+        problem = TestPackedDomains._problem(
+            [cell, pair, pair], {(1, 2): clear, (1, 3): clear, (2, 3): 100}, mode
+        )
+        outcome = solve(problem)
+        assert (outcome.status, outcome.nodes, outcome.farthest_pair, outcome.wipeout) == (
+            "infeasible", 1, 0, 1)
 
 
 # --------------------------------------------------------------------------
