@@ -4,6 +4,10 @@ Packs a given set of circles into the smallest enclosing disc or the
 shortest fixed-width rectangular strip, with certified lower and upper
 bounds and epsilon-optimality, using grid discretization, conservative
 region elimination, and exact combinatorial feasibility models.
+
+The MILP exporter (``circlepack.milp``) and the SVG renderer
+(``circlepack.render``) are imported from their own modules, so importing
+the package does not load them.
 """
 
 __version__ = "0.1.0"
@@ -57,7 +61,6 @@ from .feasibility import (
     build_problem,
     solve,
 )
-from .milp import BinaryEncoding, build_encoding, export_milp
 from .driver import (
     DriverLimits,
     IterationRecord,
@@ -76,7 +79,6 @@ from .files import (
     write_instance,
     write_result,
 )
-from .render import render_svg
 
 __all__ = [
     "Circle",
@@ -118,9 +120,6 @@ __all__ = [
     "build_problem",
     "solve",
     "assignment_to_placement",
-    "BinaryEncoding",
-    "build_encoding",
-    "export_milp",
     "DriverLimits",
     "IterationRecord",
     "RunResult",
@@ -135,6 +134,5 @@ __all__ = [
     "result_payload",
     "write_instance",
     "write_result",
-    "render_svg",
     "__version__",
 ]

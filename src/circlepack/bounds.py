@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -586,17 +586,53 @@ def _greedy_disc_centers(instance: Instance, angles: int = 24) -> dict[int, tupl
     return positions
 
 
+# Relative margin of the reach bound in ``_reach_objective``: far above the
+# few ulps by which each float side can differ from its exact value.
+_REACH_MARGIN = 1e-12
+
+
+def _reach_objective(
+    discs: Sequence[tuple[float, float, float]],
+) -> Callable[[Sequence[float]], float]:
+    """The enclosing reach about a point z of the discs (x, y, r):
+    ``objective(z)`` is the float ``max([hypot(x - zx, y - zy) + r for
+    ...])``, bit for bit, without computing every term.
+
+    By the triangle inequality a disc's term is at most ``|c| + r + |z|``,
+    with ``|c| = hypot(x, y)``.  Both the term and the bound
+    ``(|c| + r + |z|) * (1 + _REACH_MARGIN)`` are computed in a few
+    roundings of relative error 2^-53 each, every sum adding nonnegative
+    values, so the computed term never exceeds the computed bound.  The
+    discs are visited in decreasing ``|c| + r``; once the bound of one disc
+    is below the running max, so is the bound (rounding is monotone) and
+    the term of every later disc, and the loop stops.  A max of floats does
+    not depend on their order, so the result is the full max.
+    """
+    hypot = math.hypot
+    ordered = sorted(((hypot(x, y) + r, x, y, r) for x, y, r in discs), reverse=True)
+    grow = 1.0 + _REACH_MARGIN
+
+    def objective(z) -> float:
+        zx, zy = float(z[0]), float(z[1])
+        lift = hypot(zx, zy)
+        best = -math.inf
+        for reach, x, y, r in ordered:
+            if (reach + lift) * grow < best:
+                break
+            value = hypot(x - zx, y - zy) + r
+            if value > best:
+                best = value
+        return best
+
+    return objective
+
+
 def _recenter(instance: Instance, positions: dict[int, tuple[float, float]]) -> dict[int, tuple[float, float]]:
     """Shift centers so the enclosing reach around the origin is minimized."""
     from scipy.optimize import minimize
 
     circles = instance.circles
-    discs = [(*positions[c.id], c.radius) for c in circles]
-    hypot = math.hypot
-
-    def objective(z):
-        zx, zy = float(z[0]), float(z[1])
-        return max([hypot(x - zx, y - zy) + r for x, y, r in discs])
+    objective = _reach_objective([(*positions[c.id], c.radius) for c in circles])
 
     starts = [(0.0, 0.0)]
     starts.append(
@@ -622,37 +658,60 @@ def _recenter(instance: Instance, positions: dict[int, tuple[float, float]]) -> 
 def _refine_disc(instance: Instance, positions: dict[int, tuple[float, float]]) -> dict[int, tuple[float, float]]:
     """One coordinate-wise pass pulling circles inward when strictly improving.
 
-    Each circle's reach ``|p| + r`` is kept in a list, so a trial move costs
-    one hypot and one max; a max of floats does not depend on order, so this
-    is the enclosing reach of the moved placement.
+    A move of one circle is kept when the enclosing reach, the max of every
+    circle's ``|p| + r``, drops by more than 1e-13.  The other circles stay
+    put meanwhile, so their largest reach ``rest`` is one float, and a trial
+    costs one hypot and one max of two; a max of floats does not depend on
+    order, so this is the max over all circles.  No move is kept once
+    ``rest >= current - 1e-13``, since the new max is at least ``rest``;
+    ``current`` changes only when a move is kept, so the circle is done.
+
+    A trial lies ``step <= slack/4`` from the circle's position, ``slack``
+    being 4 times the first step.  Overlaps are tested only against the
+    neighbours: the circles whose centre is nearer than ``r + r_o + slack``
+    to the anchor, a position the circle held.  The list is rebuilt once
+    the circle is ``slack/2`` or more from the anchor in the L1 norm, which
+    is at least the distance.  So a trial is less than ``3*slack/4`` from
+    the anchor, and a skipped circle is more than ``slack/4`` clear of it:
+    its overlap test would be false.  The floats of these distances err by
+    a few ulps of the coordinates, which stay within the largest starting
+    reach (a kept move lowers the enclosing reach), so the argument holds
+    with room to spare when ``slack/4 > 1e-9`` times that reach; otherwise
+    ``slack`` is infinite and every circle is a neighbour.
     """
     pts = dict(positions)
     circles = instance.circles
     reach = [math.hypot(*pts[c.id]) + c.radius for c in circles]
+    first = 0.25 * instance.min_radius
+    slack = 4.0 * first if first > 1e-9 * max(reach) else math.inf
     for index, circle in enumerate(circles):
         r = circle.radius
-        others = [
-            (*pts[other.id], (other.radius + r) * (other.radius + r))
-            for other in circles
-            if other.id != circle.id
-        ]
+        rest = max(reach[:index] + reach[index + 1 :], default=-math.inf)
+        anchor = None
         for axis in (0, 1):
-            step = 0.25 * instance.min_radius
-            while step > 1e-9:
+            step = first
+            # current, the enclosing reach, is this circle's while it moves
+            while step > 1e-9 and rest < reach[index] - 1e-13:
                 x, y = pts[circle.id]
-                current = max(reach)
+                if anchor is None or abs(x - anchor[0]) + abs(y - anchor[1]) >= 0.5 * slack:
+                    anchor = (x, y)
+                    near = []
+                    for other in circles:
+                        ox, oy = pts[other.id]
+                        need = other.radius + r
+                        if other.id != circle.id and math.hypot(ox - x, oy - y) < need + slack:
+                            near.append((ox, oy, need * need))
                 for sign in (-1.0, 1.0):
                     tx, ty = (x + sign * step, y) if axis == 0 else (x, y + sign * step)
-                    for ox, oy, need_sq in others:
+                    for ox, oy, need_sq in near:
                         if (tx - ox) ** 2 + (ty - oy) ** 2 < need_sq:
                             break  # overlap: try the other sign
                     else:
-                        kept = reach[index]
-                        reach[index] = math.hypot(tx, ty) + r
-                        if max(reach) < current - 1e-13:
+                        moved = math.hypot(tx, ty) + r
+                        if max(rest, moved) < reach[index] - 1e-13:
                             pts[circle.id] = (tx, ty)
+                            reach[index] = moved
                             break
-                        reach[index] = kept
                 else:
                     step *= 0.5
     return pts

@@ -370,11 +370,10 @@ def _band_widths(threshold: int, mode: Mode, size: int) -> list[int]:
     of a box's farthest corner from the child, the box's rows at |di| < d
     from the child are forbidden whole; the same holds for columns."""
     e = 1 if mode == "relaxed" else 0
-    widths = []
-    for b in range(size + 1):
-        rest = threshold - b * b
-        widths.append(max(math.isqrt(rest - 1) + 1 - e, 0) if rest > 0 else 0)
-    return widths
+    # entries past isqrt(threshold - 1), where k^2 >= threshold, are 0
+    top = min(size, math.isqrt(threshold - 1)) if threshold > 0 else -1
+    widths = [max(math.isqrt(threshold - b * b - 1) + 1 - e, 0) for b in range(top + 1)]
+    return widths + [0] * (size - top)
 
 
 class _LimitHit(Exception):

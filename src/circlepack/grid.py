@@ -373,11 +373,12 @@ def pair_thresholds(radii: Sequence[float], delta: Fraction) -> list[list[int]]:
     values themselves (hashing two floats is cheap, where building and
     hashing their exact sum is not), and in plain integers: with
     r = p/q and delta = d/e, (r_a + r_b) / delta = (p_a q_b + p_b q_a) e /
-    (q_a q_b d) exactly.
+    (q_a q_b d) exactly.  ``r.as_integer_ratio()`` gives p/q of a float,
+    int or Fraction exactly, without building a Fraction.
     """
     n = len(radii)
     table = [[0] * n for _ in range(n)]
-    ratios = [exact(r).as_integer_ratio() for r in radii]
+    ratios = [r.as_integer_ratio() for r in radii]
     d, e = delta.numerator, delta.denominator
     memo: dict[tuple, int] = {}
     for a in range(n):
@@ -450,10 +451,20 @@ def _unpack(bits: int, rows: int, stride: int) -> np.ndarray:
 def _pattern(min_sq: int, mode: Mode, reach: int, stride: int) -> int:
     """The forbidden offsets of threshold ``min_sq`` in [-reach, reach]^2,
     packed with ``stride``: offset (di, dj) at bit (di + reach)*stride +
-    (dj + reach).  ``reach`` is at least the threshold's own reach."""
-    offsets = np.arange(-reach, reach + 1)
+    (dj + reach).  ``reach`` is at least the threshold's own reach.
+
+    No offset past the own reach m (``forbidden_reach``) is forbidden, so
+    only the square [-m, m]^2 is built.  Packed with the same stride it
+    puts (di, dj) at bit (di + m)*stride + (dj + m), and a shift by
+    (reach - m)*(stride + 1) moves every bit to its place in [-reach,
+    reach]^2: the same int.  The rows of the small square fit the stride,
+    since 2m + 1 <= 2*reach + 1 <= stride."""
+    own = forbidden_reach(min_sq, mode)
+    if own < 0:
+        return 0
+    offsets = np.arange(-own, own + 1)
     square = forbidden(offsets[:, None], offsets[None, :], min_sq, mode)
-    return _pack(square, stride)
+    return _pack(square, stride) << (reach - own) * (stride + 1)
 
 
 def _layout(thresholds: Iterable[int], mode: Mode, cells: int) -> tuple[int, int]:

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, count
+from itertools import count
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -303,10 +303,13 @@ def _spread(cells: Sequence[int], stride: int) -> int:
     ``min_sq`` with ``4*min_sq`` at most this leaves no cell unsupported
     (module docstring)."""
     coords = [divmod(v, stride) for v in cells]
-    return max(
-        (abs(ai - bi) + 2) ** 2 + (abs(aj - bj) + 2) ** 2
-        for (ai, aj), (bi, bj) in combinations_with_replacement(coords, 2)
-    )
+    spread = 0
+    for k, (ai, aj) in enumerate(coords):
+        for bi, bj in coords[k:]:
+            value = (abs(ai - bi) + 2) ** 2 + (abs(aj - bj) + 2) ** 2
+            if value > spread:
+                spread = value
+    return spread
 
 
 def _forbidden_from_all(pattern: int, top: int, cells: Sequence[int], start: int) -> int:

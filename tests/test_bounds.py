@@ -34,6 +34,8 @@ from circlepack.bounds import (
     _exact_pair_scale,
     _greedy_disc_centers,
     _pair_tangent_positions,
+    _reach_objective,
+    _refine_disc,
     compute_bounds,
     idle_area_triple,
     idle_area_with_container,
@@ -649,6 +651,128 @@ def test_greedy_screens_match_scalar_reference(radii):
     bit."""
     instance = Instance.from_radii("g", radii)
     assert repr(_greedy_disc_centers(instance)) == repr(_reference_greedy(instance))
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_nan=False)
+_disc = st.tuples(_coordinate, _coordinate, st.floats(0.1, 3.0))
+# equal |c| + r: four centres on the circle of radius 5, two radii
+_tied_disc = st.tuples(
+    st.sampled_from([(3.0, 4.0), (-4.0, 3.0), (0.0, -5.0), (5.0, 0.0)]),
+    st.sampled_from([1.0, 2.0]),
+).map(lambda item: (*item[0], item[1]))
+
+
+def _full_reach(discs, z):
+    return max([math.hypot(x - z[0], y - z[1]) + r for x, y, r in discs])
+
+
+@given(
+    st.lists(st.one_of(_disc, _tied_disc), min_size=1, max_size=12),
+    st.one_of(
+        st.just((0.0, 0.0)),
+        st.tuples(st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6)),
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    ),
+)
+def test_reach_objective_matches_the_full_max(discs, z):
+    """The bounded objective of ``_recenter`` returns the float of the full
+    list's max, for z near the origin and far from it, and with ties."""
+    assert repr(_reach_objective(discs)(z)) == repr(_full_reach(discs, z))
+
+
+@given(
+    st.floats(1.0, 20.0),
+    st.floats(0.1, 3.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(-20, 20),
+)
+def test_reach_objective_near_tight_bound(a, r, s, angle, ulps):
+    """Disc j at distance a behind z makes the triangle inequality tight:
+    its term is a + s + r.  Disc i, with the larger |c| + r, is set up so
+    that its term is within about 1e-13 relative of disc j's, so the loop
+    reaches disc j with a running max just below or above its bound."""
+    cos, sin = math.cos(angle), math.sin(angle)
+    z = (s * cos, s * sin)
+    disc_j = (-a * cos, -a * sin, r)
+    target = (a + s + r) * (1.0 + ulps * 1e-14)
+    b = a + r + 1.0  # |c_i| + r_i > |c_j| + r_j
+    disc_i = (-b * sin, b * cos, target - math.hypot(z[0] + b * sin, z[1] - b * cos))
+    if disc_i[2] <= 0:
+        return
+    discs = [disc_i, disc_j]
+    assert repr(_reach_objective(discs)(z)) == repr(_full_reach(discs, z))
+
+
+def test_reach_objective_reads_a_disc_past_a_close_running_max():
+    """Disc i comes first and its term is 12 less about 1e-13 relative;
+    disc j's term is exactly 12, within the margin of its bound 12."""
+    z = (1.0, 0.0)
+    disc_j = (-10.0, 0.0, 1.0)
+    disc_i = (0.0, 10.5, 12.0 * (1.0 - 1e-13) - math.hypot(1.0, 10.5))
+    objective = _reach_objective([disc_i, disc_j])
+    assert objective(z) == 12.0 == _full_reach([disc_i, disc_j], z)
+
+
+def _reference_refine(instance, positions):
+    """``_refine_disc`` without its shortcuts: every other circle's overlap
+    is tested at every trial, and the enclosing reach is the max of the
+    whole list at every trial."""
+    pts = dict(positions)
+    circles = instance.circles
+    reach = [math.hypot(*pts[c.id]) + c.radius for c in circles]
+    for index, circle in enumerate(circles):
+        r = circle.radius
+        others = [
+            (*pts[other.id], (other.radius + r) * (other.radius + r))
+            for other in circles
+            if other.id != circle.id
+        ]
+        for axis in (0, 1):
+            step = 0.25 * instance.min_radius
+            while step > 1e-9:
+                x, y = pts[circle.id]
+                current = max(reach)
+                for sign in (-1.0, 1.0):
+                    tx, ty = (x + sign * step, y) if axis == 0 else (x, y + sign * step)
+                    for ox, oy, need_sq in others:
+                        if (tx - ox) ** 2 + (ty - oy) ** 2 < need_sq:
+                            break
+                    else:
+                        kept = reach[index]
+                        reach[index] = math.hypot(tx, ty) + r
+                        if max(reach) < current - 1e-13:
+                            pts[circle.id] = (tx, ty)
+                            break
+                        reach[index] = kept
+                else:
+                    step *= 0.5
+    return pts
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 3.0)), min_size=2, max_size=12
+    ),
+    st.data(),
+)
+def test_refine_disc_matches_full_reference(radii, data):
+    """The neighbour list and the one-float ``rest`` leave ``_refine_disc``
+    bit for bit: on greedy placements (touching circles), spread out so
+    that the outermost circle travels far, shifted, and on random
+    placements."""
+    instance = Instance.from_radii("r", radii)
+    if data.draw(st.booleans()):
+        spread = data.draw(st.sampled_from([1.0, 1.25, 2.0, 4.0]))
+        sx, sy = data.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+        positions = {
+            cid: (x * spread + sx, y * spread + sy)
+            for cid, (x, y) in _greedy_disc_centers(instance).items()
+        }
+    else:
+        coordinate = st.floats(-15.0, 15.0, allow_nan=False)
+        positions = {c.id: (data.draw(coordinate), data.draw(coordinate)) for c in instance.circles}
+    assert repr(_refine_disc(instance, positions)) == repr(_reference_refine(instance, positions))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 from typing import Mapping
 
@@ -678,6 +678,20 @@ def _pair_cut(box_a, box_b, pair_sq: int, mode: str) -> bool:
 class TestStagedFarthestPair:
     """The farthest-pair test of the node loop, staged on boxes that
     contain the exact cleared boxes, against brute-force clears."""
+
+    @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+    def test_band_widths_match_their_definition(self, mode):
+        """Entry k is the smallest d >= 0 with (d + e)^2 + k^2 >= threshold,
+        for every threshold up to 400 and tables shorter and longer than
+        the threshold's reach."""
+        e = 1 if mode == "relaxed" else 0
+        for threshold in range(401):
+            for size in (0, 3, 25):
+                want = [
+                    next(d for d in count() if (d + e) ** 2 + k * k >= threshold)
+                    for k in range(size + 1)
+                ]
+                assert _band_widths(threshold, mode, size) == want, (threshold, size)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -6,7 +6,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import count
+from itertools import combinations_with_replacement, count
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from circlepack.reduction import (
     _extreme_cells,
     _forbidden_from_all,
     _hull,
+    _spread,
     annulus_region,
     build_region_map,
     propagate,
@@ -730,13 +731,44 @@ def test_packed_patterns_share_one_layout(mode, cells):
     assert _packed_patterns(set(), mode, cells) == (0, _stride(cells, 0), {})
 
 
+@pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+def test_pattern_at_its_own_reach_is_the_full_square(mode):
+    """``_pattern`` builds the square at the threshold's own reach and
+    shifts it into the shared frame; the int is that of the whole
+    [-reach, reach]^2 square, for every threshold up to 400, at its own
+    reach and beyond it, and at several strides."""
+    for t in range(401):
+        own = max(0, forbidden_reach(t, mode))
+        for reach in (own, own + 1, own + 4):
+            offsets = np.arange(-reach, reach + 1)
+            square = forbidden(offsets[:, None], offsets[None, :], t, mode)
+            for cells in (1, 2 * reach + 1, 50):
+                for stride in (_stride(cells, reach), _stride(cells, reach) + 3):
+                    assert _pattern(t, mode, reach, stride) == _pack(square, stride), (
+                        t, reach, stride
+                    )
+
+
+@given(st.integers(3, 80), st.lists(st.integers(0, 6400), min_size=1, max_size=4))
+def test_spread_matches_its_formula(stride, cells):
+    coords = [divmod(v, stride) for v in cells]
+    want = max(
+        (abs(ai - bi) + 2) ** 2 + (abs(aj - bj) + 2) ** 2
+        for (ai, aj), (bi, bj) in combinations_with_replacement(coords, 2)
+    )
+    assert _spread(cells, stride) == want
+
+
 def test_import_does_not_load_scipy_signal():
     """The package import stays free of scipy.signal (and of scipy at all:
-    only the upper-bound heuristic uses scipy.optimize, imported lazily)."""
+    only the upper-bound heuristic uses scipy.optimize, imported lazily),
+    and of the MILP exporter and the SVG renderer, which are imported from
+    their own modules."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, circlepack; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in sys.modules if m in ('circlepack.milp', 'circlepack.render')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -746,6 +778,7 @@ def test_import_does_not_load_scipy_signal():
         check=True,
         timeout=60,
     )
-    loaded = out.stdout.strip()
+    loaded, exporters = out.stdout.strip().splitlines()
     assert "scipy.signal" not in loaded
     assert loaded == "[]"
+    assert exporters == "[]"
