@@ -2,7 +2,7 @@
 """Solve one instance repeatedly, switching off one enhancement at a time.
 
 Compares the full solver against versions without region elimination,
-without each pruning rule, and without the two expensive seed bounds, so
+without each pruning rule, and without the lb3 seed bound, so
 the contribution of every ingredient is visible in one table.
 
 Usage: python scripts/run_ablation.py INSTANCE [--epsilon E] [--time-limit S]
@@ -25,7 +25,6 @@ VARIANTS = (
     ("full", {}),
     ("no-reduction", {"use_reduction": False}),
     ("no-lb3", {"use_lb3": False}),
-    ("no-lb4", {"use_lb4": False}),
     ("no-prune-farthest", {"prune": PruneConfig(farthest_pair=False)}),
     ("no-prune-conditional", {"prune": PruneConfig(conditional=False)}),
 )

@@ -26,12 +26,10 @@ from .bounds import (
     BoundReport,
     compute_bounds,
     idle_area_triple,
-    idle_area_with_container,
     initial_upper_bound,
     lb1,
     lb2,
     lb3,
-    lb4,
     load_best_known,
 )
 from .grid import (
@@ -107,9 +105,7 @@ __all__ = [
     "lb1",
     "lb2",
     "lb3",
-    "lb4",
     "idle_area_triple",
-    "idle_area_with_container",
     "initial_upper_bound",
     "compute_bounds",
     "load_best_known",

@@ -1,16 +1,16 @@
 """Certified lower bounds and constructive upper bounds for packing instances.
 
-Four lower-bound methods of increasing cost are provided, each returning a
-value that provably cannot exceed the optimal container size:
+Three lower-bound methods of increasing cost are provided, each returning
+a value that provably cannot exceed the optimal container size:
 
 - ``lb1``: the two largest circles must fit side by side.
 - ``lb2``: total circle area must fit inside the container area.
 - ``lb3``: bisection on the grid-based region-elimination test, which can
   certify infeasibility of candidate sizes between ``max(lb1, lb2)`` and the
   current upper bound.
-- ``lb4``: an exact combinatorial selection of mutually tangent circle
-  triples whose pocket areas provably stay uncovered, tightening the area
-  bound of ``lb2``.
+
+``idle_area_triple`` gives the area of the pocket between three mutually
+tangent circles; no bound here uses it.
 
 The constructive side (``initial_upper_bound``) builds a feasible placement
 greedily and certifies it exactly, so the returned value is a true upper
@@ -39,9 +39,7 @@ __all__ = [
     "lb1",
     "lb2",
     "lb3",
-    "lb4",
     "idle_area_triple",
-    "idle_area_with_container",
     "initial_upper_bound",
     "compute_bounds",
     "load_best_known",
@@ -119,227 +117,16 @@ def idle_area_triple(r_c: float, r_k: float, r_l: float) -> float:
     return total
 
 
-def idle_area_with_container(r_c: float, r_k: float, R_eval: float) -> float:
-    """Area of the cusp between two tangent circles and the container wall.
+def lb4(instance: Instance) -> float | None:
+    """``max(lb1, lb2)``, or None for a strip.  Nothing in the solver calls it.
 
-    Both circles are internally tangent to a disc container of radius
-    ``R_eval`` and tangent to each other; the cusp is the region between
-    them and the wall.  It is computed from the triangle of the three
-    tangency points, plus the container-side circular segment, minus the two
-    circle-side segments.  Degenerate or impossible configurations
-    (``R_eval <= r_c + r_k``, where the circle centers become collinear with
-    the container center) return 0, which is always a valid underestimate.
-
-    The area shrinks as ``R_eval`` grows (a flatter wall leaves a thinner
-    cusp), so evaluating at an upper bound of the true container size
-    underestimates the true cusp area, keeping derived lower bounds valid.
-    """
-    if min(r_c, r_k) <= 0:
-        raise ValueError("radii must be positive")
-    if R_eval <= r_c + r_k:
-        return 0.0
-    dist_c = R_eval - r_c
-    dist_k = R_eval - r_k
-    cos_phi = (dist_c * dist_c + dist_k * dist_k - (r_c + r_k) ** 2) / (
-        2.0 * dist_c * dist_k
-    )
-    cos_phi = max(-1.0, min(1.0, cos_phi))
-    phi = math.acos(cos_phi)
-    center_c = (dist_c, 0.0)
-    center_k = (dist_k * math.cos(phi), dist_k * math.sin(phi))
-    touch_wall_c = (R_eval, 0.0)
-    touch_wall_k = (R_eval * math.cos(phi), R_eval * math.sin(phi))
-    gap = (center_k[0] - center_c[0], center_k[1] - center_c[1])
-    gap_len = math.hypot(*gap)
-    touch_pair = (
-        center_c[0] + r_c * gap[0] / gap_len,
-        center_c[1] + r_c * gap[1] / gap_len,
-    )
-
-    def _triangle(a: tuple, b: tuple, c: tuple) -> float:
-        return (
-            abs(
-                a[0] * (b[1] - c[1])
-                + b[0] * (c[1] - a[1])
-                + c[0] * (a[1] - b[1])
-            )
-            / 2.0
-        )
-
-    def _segment(center: tuple, radius: float, p: tuple, q: tuple) -> float:
-        v1 = (p[0] - center[0], p[1] - center[1])
-        v2 = (q[0] - center[0], q[1] - center[1])
-        cos_psi = (v1[0] * v2[0] + v1[1] * v2[1]) / (radius * radius)
-        cos_psi = max(-1.0, min(1.0, cos_psi))
-        psi = math.acos(cos_psi)
-        return 0.5 * radius * radius * (psi - math.sin(psi))
-
-    area = _triangle(touch_wall_c, touch_wall_k, touch_pair)
-    area += 0.5 * R_eval * R_eval * (phi - math.sin(phi))
-    area -= _segment(center_c, r_c, touch_wall_c, touch_pair)
-    area -= _segment(center_k, r_k, touch_wall_k, touch_pair)
-    return max(0.0, area)
-
-
-def _kissing_limit(r_c: float, r_min: float) -> int:
-    """Maximum number of circles of radius >= r_min tangent to one of radius r_c."""
-    ratio = r_min / (r_c + r_min)
-    return int(math.floor(2.0 * math.pi / (2.0 * math.asin(ratio))))
-
-
-def _normalize_kappa(
-    value: int | Mapping[int, int] | None,
-    nodes: Sequence[int],
-    default: Mapping[int, int],
-) -> dict[int, int]:
-    if value is None:
-        return dict(default)
-    if isinstance(value, int):
-        return {node: value for node in nodes}
-    out = dict(default)
-    for node, bound in value.items():
-        out[int(node)] = int(bound)
-    return out
-
-
-def lb4(
-    instance: Instance,
-    ub_hint: float,
-    *,
-    kappa_lower: int | Mapping[int, int] | None = None,
-    kappa_upper: int | Mapping[int, int] | None = None,
-    max_circles: int = 12,
-    node_budget: int = 2_000_000,
-) -> float | None:
-    """Lower bound from an exact selection of tangent-triple pocket areas.
-
-    Builds the triple-selection model over all circles plus a pseudo-node 0
-    for the container wall.  Selecting a triple claims its pocket area as
-    provably uncovered; per-node selection counts are constrained between
-    ``kappa_lower`` and ``kappa_upper``.  Overlap corrections apply when a
-    circle triple and all three surrounding wall pairs are selected at once.
-    The model is minimized exactly by depth-first enumeration, so the
-    resulting idle-area total is a certified minimum; the bound is
-    ``sqrt((total circle area + minimum idle area) / pi)``.
-
-    With the default ``kappa_lower = 0`` the empty selection is feasible and
-    the bound degenerates to ``max(lb1, lb2)``; positive lower counts are a
-    caller-supplied structural assumption.  Wall-adjacent pocket areas are
-    evaluated at ``ub_hint`` because they shrink as the container grows.
-    Returns None when the model is skipped (strip containers, more than
-    ``max_circles`` circles, or enumeration exceeding ``node_budget``).
+    The bench tracer wraps ``circlepack.bounds.lb4`` by name, so it stays
+    until ROADMAP item 1 deletes it together with its span and the
+    ``bounds.lb4.*`` per-layer metrics.
     """
     if instance.is_strip:
         return None
-    n = instance.n
-    if n > max_circles:
-        return None
-    base = max(lb1(instance), lb2(instance))
-    radii = {c.id: c.radius for c in instance.circles}
-    r_min = instance.min_radius
-    nodes = list(range(0, n + 1))
-    default_upper = {0: max(1, n)}
-    for cid in range(1, n + 1):
-        limit = _kissing_limit(radii[cid], r_min)
-        default_upper[cid] = max(1, limit * (limit - 1) // 2)
-    kappa_lo = _normalize_kappa(kappa_lower, nodes, {node: 0 for node in nodes})
-    kappa_hi = _normalize_kappa(kappa_upper, nodes, default_upper)
-
-    circle_area = math.pi * sum(r * r for r in instance.radii)
-    if all(kappa_lo[node] == 0 for node in nodes):
-        # The empty selection is feasible with zero idle area, and overlap
-        # corrections can push the minimum below zero, which clamps to zero.
-        return max(base, math.sqrt(circle_area / math.pi))
-
-    triples = list(combinations(nodes, 3))
-    if not triples:
-        return max(base, math.sqrt(circle_area / math.pi))
-
-    def pocket_area(triple: tuple[int, int, int]) -> float:
-        c, k, l = triple
-        if c == 0:
-            return idle_area_with_container(radii[k], radii[l], ub_hint)
-        return idle_area_triple(radii[c], radii[k], radii[l])
-
-    delta = {t: pocket_area(t) for t in triples}
-    index_of = {t: i for i, t in enumerate(triples)}
-    # Overlap corrections: when circles c, k, l are mutually tangent and the
-    # wall pairs (c,k), (k,l), (c,l) are all selected, the wide wall pocket
-    # of (c,l) already contains circle k and the three smaller pockets.
-    corrections = []
-    for c, k, l in combinations(range(1, n + 1), 3):
-        quad = (
-            index_of[(c, k, l)],
-            index_of[(0, c, k)],
-            index_of[(0, k, l)],
-            index_of[(0, c, l)],
-        )
-        rho = (
-            delta[(0, c, k)]
-            + delta[(0, k, l)]
-            + delta[(c, k, l)]
-            + math.pi * radii[k] * radii[k]
-        )
-        corrections.append((quad, rho))
-
-    remaining_per_node = []
-    total_count = {node: 0 for node in nodes}
-    for i in range(len(triples) + 1):
-        counts = {node: 0 for node in nodes}
-        for t in triples[i:]:
-            for node in t:
-                counts[node] += 1
-        remaining_per_node.append(counts)
-
-    chosen = [False] * len(triples)
-    counts = {node: 0 for node in nodes}
-    best = math.inf
-    visited = 0
-    budget_blown = False
-
-    max_saving = sum(rho for _, rho in corrections)
-
-    def correction_total() -> float:
-        total = 0.0
-        for quad, rho in corrections:
-            if all(chosen[i] for i in quad):
-                total -= rho
-        return total
-
-    def dfs(i: int, partial: float) -> None:
-        nonlocal best, visited, budget_blown
-        visited += 1
-        if visited > node_budget:
-            budget_blown = True
-            return
-        if budget_blown:
-            return
-        if partial - max_saving >= best:
-            return
-        for node in nodes:
-            if counts[node] + remaining_per_node[i][node] < kappa_lo[node]:
-                return
-        if i == len(triples):
-            value = partial + correction_total()
-            if value < best:
-                best = value
-            return
-        triple = triples[i]
-        if all(counts[node] < kappa_hi[node] for node in triple):
-            chosen[i] = True
-            for node in triple:
-                counts[node] += 1
-            dfs(i + 1, partial + delta[triple])
-            for node in triple:
-                counts[node] -= 1
-            chosen[i] = False
-        dfs(i + 1, partial)
-
-    dfs(0, 0.0)
-    if budget_blown or math.isinf(best):
-        return None
-    idle_min = max(0.0, best)
-    return max(base, math.sqrt((circle_area + idle_min) / math.pi))
+    return max(lb1(instance), lb2(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -396,29 +183,25 @@ def _certify_disc_placement(
         scale = _exact_pair_scale(instance, pts)
         if scale is None:
             raise RuntimeError("coincident or near-coincident centers in constructed placement")
-        if scale > 1.0:
-            # A bare minimal scale can be cancelled by float rounding; grow
-            # by at least 1e-12 relative so one application clears all dirt.
-            scale = max(scale, 1.0 + 1e-12)
-            pts = {cid: (x * scale, y * scale) for cid, (x, y) in pts.items()}
-            continue
-        size = max(
-            math.hypot(x, y) + c.radius
-            for c, (x, y) in ((c, pts[c.id]) for c in instance.circles)
-        )
-        placement = Placement(centers=pts, container_size=size)
-        for _ in range(64):
-            report = verify_placement(instance, placement, tolerance=0.0)
-            if report.feasible:
-                return placement.container_size, placement
-            if report.worst_overlap_violation > 0:
-                break
-            size = math.nextafter(size, math.inf)
-            placement = Placement(centers=pts, container_size=size)
-        else:
+        if scale == 1.0:
             break
-        # Overlap resurfaced after scaling: nudge outward slightly more.
-        pts = {cid: (x * (1.0 + 2e-16), y * (1.0 + 2e-16)) for cid, (x, y) in pts.items()}
+        # A bare minimal scale can be cancelled by float rounding; grow by
+        # at least 1e-12 relative so one application clears all dirt.
+        scale = max(scale, 1.0 + 1e-12)
+        pts = {cid: (x * scale, y * scale) for cid, (x, y) in pts.items()}
+    else:
+        raise RuntimeError("failed to certify constructed placement")
+    # A pair scale of 1 is verify_placement's own exact pair test, so no
+    # overlap is left; only containment can fail, and a larger size mends it.
+    size = max(
+        math.hypot(x, y) + c.radius
+        for c, (x, y) in ((c, pts[c.id]) for c in instance.circles)
+    )
+    for _ in range(64):
+        placement = Placement(centers=pts, container_size=size)
+        if verify_placement(instance, placement, tolerance=0.0).feasible:
+            return size, placement
+        size = math.nextafter(size, math.inf)
     raise RuntimeError("failed to certify constructed placement")
 
 
@@ -802,7 +585,6 @@ class BoundReport:
     lb1: float
     lb2: float
     lb3: float | None
-    lb4: float | None
     chosen_lb: float
     ub: float
     ub_placement: Placement
@@ -813,7 +595,6 @@ class BoundReport:
             "lb1": self.lb1,
             "lb2": self.lb2,
             "lb3": self.lb3,
-            "lb4": self.lb4,
             "chosen_lb": self.chosen_lb,
             "ub": self.ub,
             "timings": dict(self.timings),
@@ -824,12 +605,12 @@ def compute_bounds(
     instance: Instance,
     *,
     use_lb3: bool = True,
-    use_lb4: bool = True,
 ) -> BoundReport:
     """Compute all enabled bounds and join them into a BoundReport.
 
-    The upper bound is computed first because the bisection bound and the
-    triple-selection bound both consume it.
+    ``chosen_lb`` is the largest of ``lb1``, ``lb2`` and, when enabled,
+    ``lb3``.  The upper bound is computed first because ``lb3`` bisects
+    below it.
     """
     timings: dict[str, float] = {}
 
@@ -846,18 +627,14 @@ def compute_bounds(
     timings["ub"] = time.perf_counter() - start
 
     value3: float | None = None
-    value4: float | None = None
     if use_lb3:
         value3, timings["lb3"] = _timed(lb3, instance, upper_seed=ub)
-    if use_lb4 and not instance.is_strip:
-        value4, timings["lb4"] = _timed(lb4, instance, ub)
 
-    chosen = max(v for v in (value1, value2, value3, value4) if v is not None)
+    chosen = max(v for v in (value1, value2, value3) if v is not None)
     return BoundReport(
         lb1=value1,
         lb2=value2,
         lb3=value3,
-        lb4=value4,
         chosen_lb=chosen,
         ub=ub,
         ub_placement=placement,

@@ -37,7 +37,6 @@ from .render import render_svg
 
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lb3", action="store_true", help="skip the region-elimination lower bound")
-    parser.add_argument("--no-lb4", action="store_true", help="skip the idle-area lower bound")
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,7 +65,6 @@ def _run_from_args(instance_file: InstanceFile, args: argparse.Namespace) -> Run
         limits=limits,
         use_reduction=not args.no_reduction,
         use_lb3=not args.no_lb3,
-        use_lb4=not args.no_lb4,
         prune=_prune_config(args),
     )
 
@@ -93,14 +91,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     instance_file = read_instance(args.instance)
     instance = instance_file.instance
-    report = compute_bounds(instance, use_lb3=not args.no_lb3, use_lb4=not args.no_lb4)
+    report = compute_bounds(instance, use_lb3=not args.no_lb3)
     payload = {
         "instance": instance.name,
         "n": instance.n,
         "lb1": report.lb1,
         "lb2": report.lb2,
         "lb3": report.lb3,
-        "lb4": report.lb4,
         "chosen_lb": report.chosen_lb,
         "ub": report.ub,
         "timings": {name: seconds for name, seconds in sorted(report.timings.items())},
@@ -275,7 +272,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             limits=limits,
             use_reduction=not args.no_reduction,
             use_lb3=not args.no_lb3,
-            use_lb4=not args.no_lb4,
             prune=_prune_config(args),
         )
         seconds = time.monotonic() - started
@@ -316,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bounds = sub.add_parser("bounds", help="report the four lower bounds and the constructive upper bound")
+    p_bounds = sub.add_parser("bounds", help="report the lower bounds lb1-lb3 and the constructive upper bound")
     p_bounds.add_argument("instance")
     p_bounds.add_argument("--out", default=None, help="also write the JSON report here")
     _add_bound_flags(p_bounds)

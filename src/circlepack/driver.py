@@ -215,7 +215,6 @@ def run(
     *,
     use_reduction: bool = True,
     use_lb3: bool = True,
-    use_lb4: bool = True,
     prune: PruneConfig | None = None,
 ) -> RunResult:
     """Drive the bisection to a certified epsilon-optimal bracket.
@@ -230,7 +229,7 @@ def run(
     started = time.perf_counter()
     deadline = None if limits.time_seconds is None else started + limits.time_seconds
 
-    seed = compute_bounds(instance, use_lb3=use_lb3, use_lb4=use_lb4)
+    seed = compute_bounds(instance, use_lb3=use_lb3)
     lower0, upper0 = seed.chosen_lb, seed.ub
     if lower0 > upper0 + 1e-9 * max(1.0, upper0):
         raise ValueError(

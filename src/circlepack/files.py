@@ -259,7 +259,6 @@ def result_payload(
             "lb1": result.bounds.lb1,
             "lb2": result.bounds.lb2,
             "lb3": result.bounds.lb3,
-            "lb4": result.bounds.lb4,
             "chosen_lb": result.bounds.chosen_lb,
             "ub": result.bounds.ub,
         },

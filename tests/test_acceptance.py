@@ -333,14 +333,13 @@ def test_criterion_09_bound_audit(bench_results):
             ("lb1", bounds.lb1),
             ("lb2", bounds.lb2),
             ("lb3", bounds.lb3),
-            ("lb4", bounds.lb4),
         ):
             if value is not None:
                 assert value <= best + 1e-3, f"{name}: {label}={value} exceeds best known {best}"
         assert result.lower <= best + 1e-3, f"{name}: L={result.lower} exceeds best known {best}"
         assert best <= result.upper + 1e-3, f"{name}: U={result.upper} below best known {best}"
     assert audited == 19
-    print(f"criterion 9: PASS  {audited} instances audited: L <= best-known <= U, LB1-LB4 <= best-known")
+    print(f"criterion 9: PASS  {audited} instances audited: L <= best-known <= U, LB1-LB3 <= best-known")
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,9 @@ class TestSolveCommand:
             ("bounds", ["--best-known", "table.txt"]),
             ("solve", ["--seed", "0"]),
             ("bench", ["--seed", "0"]),
+            ("solve", ["--no-lb4"]),
+            ("bounds", ["--no-lb4"]),
+            ("bench", ["--no-lb4"]),
         ],
     )
     def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
@@ -407,12 +410,13 @@ class TestBoundsCommand:
     def test_twenty_unit_circles_lb2(self, tmp_path, capsys):
         path = tmp_path / "eq20.txt"
         path.write_text("20 " + " ".join(["1"] * 20) + "\n")
-        code = main(["bounds", str(path), "--no-lb3", "--no-lb4"])
+        code = main(["bounds", str(path), "--no-lb3"])
         captured = capsys.readouterr()
         assert code == 0
         payload = json.loads(captured.out)
         assert payload["lb2"] == pytest.approx(math.sqrt(20.0))
-        assert payload["lb3"] is None and payload["lb4"] is None
+        assert payload["lb3"] is None
+        assert set(payload) == {"instance", "n", "lb1", "lb2", "lb3", "chosen_lb", "ub", "timings"}
 
     def test_solver_only_flags_are_rejected(self, tmp_path, capsys):
         instance = _write_pair(tmp_path)
@@ -434,6 +438,22 @@ class TestVerifyCommand:
     def test_valid_result_passes(self, solved, capsys):
         instance, out = solved
         code = main(["verify", str(instance), str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("OK")
+
+    def test_result_with_lb4_keys_still_verifies(self, solved, tmp_path, capsys):
+        """A result file written before lb4 was retired carries
+        ``initial_bounds.lb4`` and ``timings.lb4``; both are ignored."""
+        instance, out = solved
+        payload = json.loads(out.read_text())
+        assert "lb4" not in payload["initial_bounds"] and "lb4" not in payload["timings"]
+        payload["initial_bounds"]["lb4"] = payload["initial_bounds"]["chosen_lb"]
+        payload["timings"]["lb4"] = 1.5e-05
+        old = tmp_path / "old.result.json"
+        old.write_text(json.dumps(payload))
+        assert read_result(old)["initial_bounds"]["lb4"] == payload["initial_bounds"]["lb4"]
+        code = main(["verify", str(instance), str(old)])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("OK")
