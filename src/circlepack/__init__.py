@@ -37,9 +37,8 @@ from .grid import (
     Grid,
     build_grid,
     build_strip_grid,
+    candidates,
     grid_for_instance,
-    relaxed_candidates,
-    restricted_candidates,
     separation_frontier,
 )
 from .reduction import (
@@ -91,9 +90,8 @@ __all__ = [
     "CandidateSet",
     "build_grid",
     "build_strip_grid",
+    "candidates",
     "grid_for_instance",
-    "restricted_candidates",
-    "relaxed_candidates",
     "separation_frontier",
     "RegionMap",
     "annulus_region",

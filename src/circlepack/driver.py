@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 from .bounds import BoundReport, compute_bounds
@@ -103,21 +103,7 @@ class IterationRecord:
     cells: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "size": self.size,
-            "delta": self.delta,
-            "model": self.model,
-            "outcome": self.outcome,
-            "seconds": self.seconds,
-            "lower": self.lower,
-            "upper": self.upper,
-            "nodes": self.nodes,
-            "farthest_pair": self.farthest_pair,
-            "wipeout": self.wipeout,
-            "sweeps": self.sweeps,
-            "cells": self.cells,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -183,14 +169,19 @@ def bisection_budget(epsilon: float, upper0: float, lower0: float) -> int:
     return math.ceil(math.log2(ratio)) + 1
 
 
+def _cell_size_cap(instance: Instance) -> float:
+    """The lattice-precondition cap on the starting cell size: the cell
+    diagonal strictly below the smallest radius, with a factor-2 margin."""
+    return 0.5 * instance.min_radius / math.sqrt(2.0)
+
+
 def default_initial_cell_size(instance: Instance, upper0: float, lower0: float) -> float:
     """Coarse starting cell size: refinement is cheap, oversolving is not.
 
-    Bounded by the lattice-precondition cap (cell diagonal strictly below
-    the smallest radius, with a factor-2 margin) and by an eighth of the
-    initial bracket width.
+    Bounded by the lattice-precondition cap (``_cell_size_cap``) and by an
+    eighth of the initial bracket width.
     """
-    cap = 0.5 * instance.min_radius / math.sqrt(2.0)
+    cap = _cell_size_cap(instance)
     width = upper0 - lower0
     if width <= 0:
         return cap
@@ -237,13 +228,12 @@ def run(
         )
     lower0 = min(lower0, upper0)
 
-    cap = 0.5 * instance.min_radius / math.sqrt(2.0)
     if delta0 is None:
         delta0 = default_initial_cell_size(instance, upper0, lower0)
     else:
         if not delta0 > 0:
             raise ValueError(f"delta0 must be positive, got {delta0}")
-        delta0 = min(delta0, cap)
+        delta0 = min(delta0, _cell_size_cap(instance))
 
     state = SolverState(
         lower=lower0,

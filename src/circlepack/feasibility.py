@@ -82,8 +82,9 @@ that contain the exact cleared ones.  A row at offset di from (i, j) is
 forbidden whole exactly when its farthest column, at offset b of the box
 corner, is: forbidden(di, b) holds, and then every cell of the row, at
 |dj| <= b, is forbidden too.  Monotone in |di|, those rows are the ones
-with |di| < h, h the half-width that ``_band_widths`` gives for b + s: one
-band around row i.  The band cannot cover both ends of the box, as then the
+with |di| < h, h the smallest d >= 0 with (d + s)^2 + (b + s)^2 >= min_sq,
+entry b + s of ``grid._forbidden_widths`` with r = 0 and c = s: one band
+around row i.  The band cannot cover both ends of the box, as then the
 box-corner test would have fired, so trimming it off the end it covers
 leaves a box that still holds every remaining candidate; columns are
 trimmed the same way with the row term a.  The first stage tests this
@@ -113,13 +114,13 @@ from .grid import (
     CandidateSet,
     Grid,
     Mode,
+    _forbidden_widths,
     _pack,
     _packed_patterns,
     _unpack,
+    candidates,
     forbidden,
     pair_thresholds,
-    relaxed_candidates,
-    restricted_candidates,
 )
 from .reduction import RegionMap
 
@@ -286,31 +287,18 @@ def build_problem(
     if reduced_regions is not None and reduced_regions.grid != grid:
         raise ValueError("reduced regions were built for a different grid")
 
-    container = instance.container
+    if mode == "restricted":
+        shape = (grid.points_x, grid.points_y)
+    else:
+        shape = (grid.cells_x, grid.cells_y)
+    sym = _symmetry_restrictions(grid, mode, instance.n, shape) if symmetry else {}
     domains: dict[int, CandidateSet] = {}
-    sym = (
-        _symmetry_restrictions(
-            grid,
-            mode,
-            instance.n,
-            (grid.points_x, grid.points_y)
-            if mode == "restricted"
-            else (grid.cells_x, grid.cells_y),
-        )
-        if symmetry
-        else {}
-    )
+    steps: dict = {}
     for circle in instance.circles:
-        if mode == "restricted":
-            mask = restricted_candidates(grid, circle, container).mask.copy()
-            if reduced_regions is not None:
-                mask &= _points_from_cells(
-                    reduced_regions.masks[circle.id], mask.shape
-                )
-        else:
-            mask = relaxed_candidates(grid, circle, container).mask.copy()
-            if reduced_regions is not None:
-                mask &= reduced_regions.masks[circle.id]
+        mask = candidates(grid, circle, instance.container, mode, steps).mask
+        if reduced_regions is not None:
+            region = reduced_regions.masks[circle.id]
+            mask &= region if mode == "relaxed" else _points_from_cells(region, shape)
         if circle.id in sym:
             mask &= sym[circle.id]
         domains[circle.id] = CandidateSet(circle.id, mode, mask)
@@ -360,20 +348,6 @@ _Box = tuple[int, int, int, int]
 # a search domain: row-major bits, column-major bits, and the box (None
 # exactly when the domain is empty); see the module docstring
 _Domain = tuple[int, int, _Box | None]
-
-
-def _band_widths(threshold: int, mode: Mode, size: int) -> list[int]:
-    """Half-widths of the bands a child forbids whole, for the staged
-    farthest-pair test (module docstring): entry k, for k = 0..size, is the
-    smallest d >= 0 with (d + e)^2 + k^2 >= threshold, e the mode's corner
-    offset (0 restricted, 1 relaxed).  When k is e plus the column offset
-    of a box's farthest corner from the child, the box's rows at |di| < d
-    from the child are forbidden whole; the same holds for columns."""
-    e = 1 if mode == "relaxed" else 0
-    # entries past isqrt(threshold - 1), where k^2 >= threshold, are 0
-    top = min(size, math.isqrt(threshold - 1)) if threshold > 0 else -1
-    widths = [max(math.isqrt(threshold - b * b - 1) + 1 - e, 0) for b in range(top + 1)]
-    return widths + [0] * (size - top)
 
 
 class _LimitHit(Exception):
@@ -428,9 +402,11 @@ class _Engine:
             self.min_sq[a - 1][b - 1] = threshold
             self.min_sq[b - 1][a - 1] = threshold
         # the half-width tables of the staged farthest-pair test (module
-        # docstring), for the threshold of circle t against circle t+2
+        # docstring), for the threshold of circle t against circle t+2:
+        # entry k is the smallest d >= 0 with (d + e)^2 + k^2 >= threshold
+        e = 1 if self.mode == "relaxed" else 0
         self.bands = {
-            threshold: _band_widths(threshold, self.mode, max(nx, ny))
+            threshold: _forbidden_widths(threshold, 0, e, max(nx, ny))
             for threshold in {self.min_sq[t][t + 2] for t in range(n - 2)}
         }
 

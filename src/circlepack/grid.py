@@ -20,10 +20,17 @@ inequality for both families of tests:
   between farthest cell corners and containment by nearest cell point; if no
   assignment passes, no continuous packing exists (lower-bound certificates).
 
+``candidates`` is the one containment test, for points and cells alike:
+on a disc it compares the squared steps from the centre to each point or
+to each cell's nearest point (``_steps``) with one exact limit, and the
+annulus regions of ``reduction`` read the same step arrays.
+
 ``pair_thresholds`` gives the threshold of every pair of circles, computing
-the exact one once per distinct pair of radii.  ``separation_frontier``, the
-form the LP export needs, is read off ``forbidden`` itself: it walks the
-boundary of the forbidden offsets.
+the exact one once per distinct pair of radii.  ``_forbidden_widths`` is
+the one inverse of ``forbidden``: the first separated offset of each row.
+``forbidden_reach``, ``separation_frontier`` (the form the LP export needs)
+and the band tables of the search's staged farthest-pair test are read off
+it.
 
 Region propagation and the search engine both hold cell sets as bit-packed
 Python ints (``_pack`` / ``_unpack``).  An (nx, ny) mask is stored row-major,
@@ -57,7 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Collection, Iterable, Literal, Sequence
 
 import numpy as np
@@ -71,13 +77,12 @@ __all__ = [
     "CandidateSet",
     "build_grid",
     "build_strip_grid",
+    "candidates",
     "forbidden",
     "forbidden_reach",
     "grid_for_instance",
     "min_sq_steps",
     "pair_thresholds",
-    "restricted_candidates",
-    "relaxed_candidates",
     "separation_frontier",
 ]
 
@@ -276,82 +281,76 @@ def _check_container(grid: Grid, container: ContainerKind) -> None:
             raise ValueError("grid width does not match container width")
 
 
-def restricted_candidates(
-    grid: Grid, circle: Circle, container: ContainerKind
-) -> CandidateSet:
-    """Lattice points on which the circle fits entirely inside the container.
+def _steps(grid: Grid, mode: Mode, far: bool, memo: dict | None) -> np.ndarray:
+    """Squared distance, in lattice steps, from the centre of a disc grid to
+    the nearest (``far`` False) or farthest point of each lattice point
+    (restricted) or cell (relaxed).
 
-    Disc: (i - theta)^2 + (j - theta)^2 <= floor(((size - r) / delta)^2),
-    computed exactly.  Strip: the inset rectangle [r, L - r] x [r, W - r]
-    intersected with the lattice.  An oversized circle yields an empty set.
+    Per axis, a point at k = index - theta is |k| steps from the centre; a
+    cell [k, k + 1] is max(k, 0, -(k + 1)) steps away at its nearest point
+    and max(|k|, |k + 1|) at its farthest.  Both are the ends of [k, k + s],
+    s = 0 for points and 1 for cells.  ``memo``, one dict per grid, keeps
+    each array for the next call."""
+    key = (mode, far)
+    if memo is not None and key in memo:
+        return memo[key]
+    s = 0 if mode == "restricted" else 1
+    lo = np.arange(2 * grid.theta + 1 - s) - grid.theta
+    hi = lo + s
+    axis = np.maximum(abs(lo), abs(hi)) if far else np.maximum(np.maximum(lo, 0), -hi)
+    found = axis[:, None] ** 2 + axis[None, :] ** 2
+    if memo is not None:
+        memo[key] = found
+    return found
+
+
+def candidates(
+    grid: Grid,
+    circle: Circle,
+    container: ContainerKind,
+    mode: Mode,
+    steps: dict | None = None,
+) -> CandidateSet:
+    """Lattice points (restricted) or cells (relaxed) that hold a centre at
+    which the circle lies inside the container.
+
+    Disc: the point, or the cell's nearest point to the centre, lies within
+    size - r, closed (a centre at exact tangency is a valid packing, so
+    excluding it would break the relaxation): in squared steps,
+    nearest^2 <= floor(((size - r) / delta)^2), exactly.  ``steps`` is a
+    memo of the step arrays (``_steps``) for callers that test many circles
+    on one grid.  Strip: the point or cell meets the inset rectangle
+    [r, L - r] x [r, W - r].  Along an axis of extent L that is indices
+    ceil(r/delta) - s .. floor((L - r)/delta), s = 0 for points and 1 for
+    cells [i, i + 1]*delta, when r <= L - r; otherwise no centre fits.  An
+    oversized circle yields an empty set.  Relaxed sets are supersets of
+    the restricted ones by construction.
     """
     _check_container(grid, container)
-    r = exact(circle.radius)
-    if grid.kind == "circle":
+    if mode == "restricted":
         shape = (grid.points_x, grid.points_y)
-        if r > grid.size_exact:
-            return CandidateSet(circle.id, "restricted", np.zeros(shape, dtype=bool))
-        reach = (grid.size_exact - r) / grid.delta_exact
-        limit = math.floor(reach * reach)
-        axis = np.arange(shape[0]) - grid.theta
-        dist2 = axis[:, None] ** 2 + axis[None, :] ** 2
-        return CandidateSet(circle.id, "restricted", dist2 <= limit)
-
-    shape = (grid.points_x, grid.points_y)
-    mask = np.zeros(shape, dtype=bool)
-    lo_x = math.ceil(r / grid.delta_exact)
-    hi_x = math.floor((grid.size_exact - r) / grid.delta_exact)
-    lo_y = math.ceil(r / grid.delta_exact)
-    hi_y = math.floor((grid.width_exact - r) / grid.delta_exact)
-    if lo_x <= hi_x and lo_y <= hi_y:
-        mask[
-            max(0, lo_x) : min(shape[0] - 1, hi_x) + 1,
-            max(0, lo_y) : min(shape[1] - 1, hi_y) + 1,
-        ] = True
-    return CandidateSet(circle.id, "restricted", mask)
-
-
-def _nearest_steps(cell_index: np.ndarray) -> np.ndarray:
-    """Distance (in whole cells) from the origin to cell [a, a+1] per axis."""
-    return np.maximum(np.maximum(cell_index, 0), -(cell_index + 1))
-
-
-def relaxed_candidates(
-    grid: Grid, circle: Circle, container: ContainerKind
-) -> CandidateSet:
-    """Cells containing at least one admissible center for the circle.
-
-    Disc: the cell's closest point to the origin must lie within size - r
-    (closed inequality: a center on the cell boundary at exact tangency is
-    still a valid packing, so excluding it would break the relaxation).
-    Strip: the cell must intersect the inset rectangle.  Supersets of the
-    restricted sets by construction.
-    """
-    _check_container(grid, container)
-    r = exact(circle.radius)
-    if grid.kind == "circle":
+    else:
         shape = (grid.cells_x, grid.cells_y)
-        if r > grid.size_exact:
-            return CandidateSet(circle.id, "relaxed", np.zeros(shape, dtype=bool))
-        reach = (grid.size_exact - r) / grid.delta_exact
-        limit = math.floor(reach * reach)
-        axis = _nearest_steps(np.arange(shape[0]) - grid.theta)
-        near2 = axis[:, None] ** 2 + axis[None, :] ** 2
-        return CandidateSet(circle.id, "relaxed", near2 <= limit)
+    if grid.kind == "circle":
+        # with size = a/b, r = p/q and delta = d/e, (size - r) / delta is
+        # room / (b*q*d) exactly
+        a, b = grid.size_exact.as_integer_ratio()
+        p, q = circle.radius.as_integer_ratio()
+        d, e = grid.delta_exact.as_integer_ratio()
+        room = (a * q - p * b) * e
+        if room < 0:
+            return CandidateSet(circle.id, mode, np.zeros(shape, dtype=bool))
+        limit = room * room // (b * q * d) ** 2
+        return CandidateSet(circle.id, mode, _steps(grid, mode, False, steps) <= limit)
 
-    shape = (grid.cells_x, grid.cells_y)
+    r = exact(circle.radius)
     mask = np.zeros(shape, dtype=bool)
-    # cell [i, i+1]*delta intersects [r, L-r]  <=>  ceil(r/delta)-1 <= i <= floor((L-r)/delta)
-    lo_x = math.ceil(r / grid.delta_exact) - 1
-    hi_x = math.floor((grid.size_exact - r) / grid.delta_exact)
-    lo_y = math.ceil(r / grid.delta_exact) - 1
-    hi_y = math.floor((grid.width_exact - r) / grid.delta_exact)
     if 2 * r <= grid.size_exact and 2 * r <= grid.width_exact:
-        mask[
-            max(0, lo_x) : min(shape[0] - 1, hi_x) + 1,
-            max(0, lo_y) : min(shape[1] - 1, hi_y) + 1,
-        ] = True
-    return CandidateSet(circle.id, "relaxed", mask)
+        lo = math.ceil(r / grid.delta_exact) - (mode == "relaxed")
+        hi_x = math.floor((grid.size_exact - r) / grid.delta_exact)
+        hi_y = math.floor((grid.width_exact - r) / grid.delta_exact)
+        mask[lo : hi_x + 1, lo : hi_y + 1] = True
+    return CandidateSet(circle.id, mode, mask)
 
 
 def _ceil_square(num: int, den: int) -> int:
@@ -408,17 +407,34 @@ def forbidden(di, dj, min_sq: int, mode: Mode):
     return a * a + b * b < min_sq
 
 
+def _forbidden_widths(min_sq: int, r: int, c: int, size: int) -> list[int]:
+    """Entry k, for k = 0..size, is the smallest d >= 0 with
+    (d + c)^2 + (k + r)^2 >= min_sq: the one inverse of ``forbidden``.
+
+    With r = c = s, the mode's corner offset (0 restricted, 1 relaxed),
+    the offsets (k, d) with d >= 0 that ``forbidden`` holds for are those
+    with d below entry k.  ``forbidden_reach`` is entry 0 minus 1, and
+    ``separation_frontier`` the entries where the table drops.  With r = 0
+    and c = s it gives the bands of the staged farthest-pair test
+    (``feasibility`` module docstring).  The entries never grow with k,
+    and past k + r = isqrt(min_sq - 1), where (k + r)^2 >= min_sq, they
+    are 0."""
+    top = min(size, math.isqrt(min_sq - 1) - r) if min_sq > r * r else -1
+    widths = [
+        max(math.isqrt(min_sq - (k + r) ** 2 - 1) + 1 - c, 0) for k in range(top + 1)
+    ]
+    return widths + [0] * (size - top)
+
+
 def forbidden_reach(min_sq: int, mode: Mode) -> int:
     """Largest |offset| along one axis of any forbidden offset, or -1 when
     ``forbidden`` holds for no offset at all.
 
-    The other axis contributes at least ``s^2`` (s = 0 restricted, 1
-    relaxed), so a forbidden offset has (|x| + s)^2 <= min_sq - 1 - s^2,
-    and the offset (x, 0) attains the bound.
-    """
+    ``forbidden`` only grows as either |offset| shrinks, so the offset
+    (x, 0) attains the reach: it is one less than the first entry of
+    ``_forbidden_widths``."""
     s = 0 if mode == "restricted" else 1
-    top = min_sq - 1 - s * s
-    return math.isqrt(top) - s if top >= s * s else -1
+    return _forbidden_widths(min_sq, s, s, 0)[0] - 1
 
 
 # rows that _row_extents cuts off a packed int at a time
@@ -520,20 +536,14 @@ def separation_frontier(min_sq: int, mode: Mode) -> tuple[tuple[int, int], ...]:
     fails for threshold ``min_sq``, in increasing u1.
 
     An offset (di, dj) is separated, ``forbidden`` False, iff it dominates a
-    member: |di| >= u1 and |dj| >= u2.  The forbidden offsets of a quadrant
-    are closed downwards, so their boundary is a staircase, walked here:
-    u2 starts one past the reach on the u1 = 0 column and, column by column,
-    drops while the offset below it is separated; a column where it drops
-    gives a member.  Only the LP export needs the frontier form; the solvers
-    test ``forbidden`` directly.
+    member: |di| >= u1 and |dj| >= u2.  Entry u1 of ``_forbidden_widths``
+    is the smallest separated u2 in column u1 and never grows with u1, so
+    the members are the columns where it drops, from column 0 to the
+    first where it is 0, at one past the reach.  Only the LP export needs
+    the frontier form; the solvers test ``forbidden`` directly.
     """
-    pairs: list[tuple[int, int]] = []
-    u2 = forbidden_reach(min_sq, mode) + 1
-    for u1 in count():
-        top = u2
-        while u2 and not forbidden(u1, u2 - 1, min_sq, mode):
-            u2 -= 1
-        if not pairs or u2 < top:
-            pairs.append((u1, u2))
-        if not u2:
-            return tuple(pairs)
+    s = 0 if mode == "restricted" else 1
+    widths = _forbidden_widths(min_sq, s, s, forbidden_reach(min_sq, mode) + 1)
+    return tuple(
+        (u1, u2) for u1, u2 in enumerate(widths) if not u1 or u2 < widths[u1 - 1]
+    )

@@ -79,19 +79,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Circle, Instance, common_denominator, exact
+from .geometry import Circle, CircleContainer, Instance, common_denominator
 from .grid import (
     Grid,
     _ceil_square,
     _layout,
-    _nearest_steps,
     _pack,
     _pattern,
     _row_extents,
+    _steps,
     _unpack,
+    candidates,
     grid_for_instance,
     pair_thresholds,
-    relaxed_candidates,
 )
 
 __all__ = [
@@ -123,54 +123,42 @@ class RegionMap:
         return int(self.masks[circle_id].sum())
 
 
-def _farthest_steps(cell_index: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(cell_index), np.abs(cell_index + 1))
-
-
-def _annulus_distances(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances, in cell steps, from the origin to the nearest and
-    the farthest point of each cell of a disc grid."""
-    axis = np.arange(grid.cells_x) - grid.theta
-    near = _nearest_steps(axis)
-    far = _farthest_steps(axis)
-    return near[:, None] ** 2 + near[None, :] ** 2, far[:, None] ** 2 + far[None, :] ** 2
-
-
 def annulus_region(
     circle: Circle,
     size: float,
     reference_radius: float,
     grid: Grid,
-    distances: tuple[np.ndarray, np.ndarray] | None = None,
+    steps: dict | None = None,
 ) -> np.ndarray:
     """Cells that intersect the admissible annulus for one circle in a disc.
 
     The annulus is max(0, 2*reference_radius + r - size) <= |p| <= size - r:
     the outer bound is containment; the inner bound says the center must
     leave enough of the container for the reference circle to fit somewhere.
-    A cell survives when its nearest point is inside the outer disc and its
-    farthest point is outside the inner disc — except that an annulus whose
-    inner radius exceeds its outer radius is empty outright (a straddling
-    cell would pass both one-sided tests despite containing no annulus
-    point).  The thresholds are exact, in integers on one common denominator
-    of the radius, size and reference radius.  ``distances`` is
-    ``_annulus_distances(grid)``, passed by callers that build many annuli
-    on one grid.
+    A cell survives when its nearest point is inside the outer disc, the
+    relaxed containment test of ``grid.candidates``, and its farthest point
+    is outside the inner disc — except that an annulus whose inner radius
+    exceeds its outer radius is empty outright (a straddling cell would
+    pass both one-sided tests despite containing no annulus point).  The
+    inner threshold is exact, in integers on one common denominator of the
+    radius, size and reference radius.  ``grid`` must be built for
+    ``size``; ``steps`` is the step-array memo of ``grid.candidates``,
+    passed by callers that build many annuli on one grid.
     """
     if grid.kind != "circle":
         raise ValueError("annulus regions apply to disc containers only")
     den, (r, size_q, ref) = common_denominator([circle.radius, size, reference_radius])
-    outer = size_q - r
+    if size_q * grid.size_exact.denominator != grid.size_exact.numerator * den:
+        raise ValueError("grid was built for a different container size")
     inner = max(0, 2 * ref + r - size_q)
-    if outer < 0 or inner > outer:
+    if inner > size_q - r:
         return np.zeros((grid.cells_x, grid.cells_y), dtype=bool)
 
     # With delta = d/e, a length x/den is x*e / (den*d) cell steps.
     d, e = grid.delta_exact.as_integer_ratio()
-    outer_limit = (outer * e) ** 2 // (den * d) ** 2
     inner_limit = _ceil_square(inner * e, den * d)
-    near2, far2 = _annulus_distances(grid) if distances is None else distances
-    return (near2 <= outer_limit) & (far2 >= inner_limit)
+    contained = candidates(grid, circle, CircleContainer(), "relaxed", steps).mask
+    return contained & (_steps(grid, "relaxed", True, steps) >= inner_limit)
 
 
 def _symmetry_masks(grid: Grid, n: int) -> dict[int, np.ndarray]:
@@ -214,7 +202,7 @@ def build_region_map(
     masks: dict[int, np.ndarray] = {}
     built: dict[tuple[float, float], np.ndarray] = {}
     radii = instance.radii
-    distances = None if instance.is_strip else _annulus_distances(grid)
+    steps: dict = {}
     for circle in instance.circles:
         if instance.is_strip or instance.n == 1:
             ref = 0.0
@@ -225,9 +213,9 @@ def build_region_map(
         mask = built.get((circle.radius, ref))
         if mask is None:
             if instance.is_strip:
-                mask = relaxed_candidates(grid, circle, instance.container).mask
+                mask = candidates(grid, circle, instance.container, "relaxed").mask
             else:
-                mask = annulus_region(circle, size, ref, grid, distances)
+                mask = annulus_region(circle, size, ref, grid, steps)
             mask.setflags(write=False)
             built[circle.radius, ref] = mask
         masks[circle.id] = mask
@@ -476,12 +464,10 @@ def region_feasible(instance: Instance, size: float, delta_r: float) -> bool:
     Builds the cell regions at working resolution ``delta_r`` and runs the
     propagation fixpoint; emptiness is a proof of continuous infeasibility,
     while True is NOT a feasibility proof (the relaxed tests are one-sided).
+    A circle too large for the container has an empty containment set, so
+    the fixpoint refutes it without a separate test.
     """
     if not size > 0:
-        return False
-    if not instance.is_strip and exact(instance.max_radius) > exact(size):
-        return False
-    if instance.is_strip and 2 * exact(instance.max_radius) > exact(size):
         return False
     grid = grid_for_instance(instance, size, delta_r)
     base = build_region_map(instance, size, grid, symmetry=True)

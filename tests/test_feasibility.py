@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import count, product
+from itertools import product
 from pathlib import Path
 from typing import Mapping
 
@@ -27,7 +27,6 @@ from circlepack.feasibility import (
     FeasibilityProblem,
     PruneConfig,
     SolveLimits,
-    _band_widths,
     _Engine,
     assignment_to_placement,
     build_problem,
@@ -37,6 +36,7 @@ from circlepack.files import read_instance
 from circlepack.geometry import Instance, StripContainer, exact, verify_placement
 from circlepack.grid import (
     CandidateSet,
+    _forbidden_widths,
     _pack,
     _unpack,
     forbidden,
@@ -654,7 +654,7 @@ def _trimmed_box(box, i: int, j: int, widths: list[int], e: int):
     (feasibility module docstring): ``box`` less the band of rows that a
     child at (i, j) forbids whole at the box's farthest column, and the
     band of columns it forbids whole at the box's farthest row, with the
-    half-widths ``widths`` of ``_band_widths``."""
+    half-widths ``widths``, ``grid._forbidden_widths`` with r = 0 and c = e."""
     i0, i1, j0, j1 = box
     a = max(abs(i0 - i), abs(i1 - i)) + e
     b = max(abs(j0 - j), abs(j1 - j)) + e
@@ -678,20 +678,6 @@ def _pair_cut(box_a, box_b, pair_sq: int, mode: str) -> bool:
 class TestStagedFarthestPair:
     """The farthest-pair test of the node loop, staged on boxes that
     contain the exact cleared boxes, against brute-force clears."""
-
-    @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
-    def test_band_widths_match_their_definition(self, mode):
-        """Entry k is the smallest d >= 0 with (d + e)^2 + k^2 >= threshold,
-        for every threshold up to 400 and tables shorter and longer than
-        the threshold's reach."""
-        e = 1 if mode == "relaxed" else 0
-        for threshold in range(401):
-            for size in (0, 3, 25):
-                want = [
-                    next(d for d in count() if (d + e) ** 2 + k * k >= threshold)
-                    for k in range(size + 1)
-                ]
-                assert _band_widths(threshold, mode, size) == want, (threshold, size)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -745,7 +731,7 @@ class TestStagedFarthestPair:
             a = max(abs(i0 - i), abs(i1 - i)) + e
             b = max(abs(j0 - j), abs(j1 - j)) + e
             assert a * a + b * b >= clear, "the box-corner test fired on a live clear"
-            trimmed = _trimmed_box(box, i, j, _band_widths(clear, mode, max(nx, ny)), e)
+            trimmed = _trimmed_box(box, i, j, _forbidden_widths(clear, 0, e, max(nx, ny)), e)
             assert trimmed[0] <= exact[0] and exact[1] <= trimmed[1]
             assert trimmed[2] <= exact[2] and exact[3] <= trimmed[3]
             highs = (trimmed[0], exact[1], trimmed[2], exact[3])

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 
 from circlepack.geometry import Circle, CircleContainer, StripContainer, exact
 from circlepack.grid import (
+    _forbidden_widths,
     build_grid,
     build_strip_grid,
+    candidates,
     forbidden,
     forbidden_reach,
     min_sq_steps,
     pair_thresholds,
-    relaxed_candidates,
-    restricted_candidates,
     separation_frontier,
 )
 
@@ -59,30 +60,40 @@ def test_build_grid_rejects_coarse_spacing():
         build_grid(1.0, 0.5, 0.5)
 
 
-def brute_restricted_disc(grid, radius):
-    """Oracle: exact Fraction enumeration of lattice points within size - r."""
-    ok = set()
-    r = exact(radius)
-    for i in range(grid.points_x):
-        for j in range(grid.points_y):
-            x, y = grid.point_exact(i, j)
-            if x * x + y * y <= (grid.size_exact - r) ** 2 and r <= grid.size_exact:
-                ok.add((i, j))
-    return ok
+def brute_candidates(grid, radius, mode):
+    """Oracle: exact Fraction test of each lattice point (restricted) or
+    cell (relaxed) for a centre at which the circle lies in the container.
 
-
-def brute_relaxed_disc(grid, radius):
-    """Oracle: clamp the origin into each cell, exact squared comparison."""
-    ok = set()
+    A point is the degenerate box [x, x] x [y, y].  Disc: the box's point
+    nearest the origin, the origin clamped into it, lies within size - r.
+    Strip: the box meets the inset rectangle [r, L - r] x [r, W - r]."""
     r = exact(radius)
-    if r > grid.size_exact:
-        return ok
-    for i in range(grid.cells_x):
-        for j in range(grid.cells_y):
-            x0, y0, x1, y1 = grid.cell_bounds_exact(i, j)
-            cx = min(max(Fraction(0), x0), x1)
-            cy = min(max(Fraction(0), y0), y1)
-            if cx * cx + cy * cy <= (grid.size_exact - r) ** 2:
+    if mode == "restricted":
+        shape = (grid.points_x, grid.points_y)
+    else:
+        shape = (grid.cells_x, grid.cells_y)
+
+    def box(i, j):
+        if mode == "relaxed":
+            return grid.cell_bounds_exact(i, j)
+        x, y = grid.point_exact(i, j)
+        return x, y, x, y
+
+    ok = set()
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            x0, y0, x1, y1 = box(i, j)
+            if grid.kind == "circle":
+                cx = min(max(Fraction(0), x0), x1)
+                cy = min(max(Fraction(0), y0), y1)
+                inside = r <= grid.size_exact and cx * cx + cy * cy <= (grid.size_exact - r) ** 2
+            else:
+                length, width = grid.size_exact, grid.width_exact
+                inside = (
+                    r <= length - r and x1 >= r and x0 <= length - r
+                    and r <= width - r and y1 >= r and y0 <= width - r
+                )
+            if inside:
                 ok.add((i, j))
     return ok
 
@@ -90,30 +101,41 @@ def brute_relaxed_disc(grid, radius):
 def test_restricted_disc_example():
     """R=2, delta=1, r=1: exactly the center and its 4 axis neighbours."""
     grid = build_grid(2.0, 1.0, 1.5)
-    cand = restricted_candidates(grid, Circle(1, 1.0), DISC)
+    cand = candidates(grid, Circle(1, 1.0), DISC, "restricted")
     got = set(cand.indices())
-    assert got == brute_restricted_disc(grid, 1.0)
+    assert got == brute_candidates(grid, 1.0, "restricted")
     assert got == {(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}
 
 
-def test_restricted_full_size_circle():
+@pytest.mark.parametrize(
+    "mode, want",
+    [("restricted", {(2, 2)}), ("relaxed", {(1, 1), (1, 2), (2, 1), (2, 2)})],
+)
+def test_full_size_circle(mode, want):
+    """r = size pins the centre to the origin: its lattice point, or the
+    four cells that touch it."""
     grid = build_grid(2.0, 1.0, 1.5)
-    cand = restricted_candidates(grid, Circle(1, 2.0), DISC)
-    assert set(cand.indices()) == {(2, 2)}
+    cand = candidates(grid, Circle(1, 2.0), DISC, mode)
+    assert set(cand.indices()) == want == brute_candidates(grid, 2.0, mode)
 
 
-def test_restricted_oversized_circle_empty():
+@pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+def test_oversized_circle_empty(mode):
     grid = build_grid(2.0, 1.0, 1.5)
-    cand = restricted_candidates(grid, Circle(1, 2.5), DISC)
+    cand = candidates(grid, Circle(1, 2.5), DISC, mode)
     assert cand.count == 0
+    assert cand.mask.shape == (
+        (grid.points_x, grid.points_y) if mode == "restricted" else (grid.cells_x, grid.cells_y)
+    )
 
 
 def test_restricted_strip_interior():
     """L=W=4, delta=1, r=1: inset square [1,3]x[1,3] -> 3x3 lattice points."""
     grid = build_strip_grid(4.0, 4.0, 1.0, 1.5)
-    cand = restricted_candidates(grid, Circle(1, 1.0), StripContainer(4.0))
+    cand = candidates(grid, Circle(1, 1.0), StripContainer(4.0), "restricted")
     got = set(cand.indices())
     assert got == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+    assert got == brute_candidates(grid, 1.0, "restricted")
 
 
 def test_relaxed_disc_boundary_cells_included():
@@ -124,10 +146,9 @@ def test_relaxed_disc_boundary_cells_included():
     1 = R - r.  Tangency is admissible, so the closed inequality keeps them.
     """
     grid = build_grid(2.0, 1.0, 1.5)
-    cand = relaxed_candidates(grid, Circle(1, 1.0), DISC)
+    cand = candidates(grid, Circle(1, 1.0), DISC, "relaxed")
     got = set(cand.indices())
-    oracle = brute_relaxed_disc(grid, 1.0)
-    assert got == oracle
+    assert got == brute_candidates(grid, 1.0, "relaxed")
     assert len(got) == 12
 
 
@@ -135,33 +156,58 @@ def test_relaxed_contains_restricted_corners():
     """Each restricted point, as a cell lower-left corner, is a relaxed cell."""
     grid = build_grid(3.0, 0.5, 1.0)
     for r in (0.8, 1.0, 1.4, 2.9):
-        res = restricted_candidates(grid, Circle(1, r), DISC)
-        rel = relaxed_candidates(grid, Circle(1, r), DISC)
+        res = candidates(grid, Circle(1, r), DISC, "restricted")
+        rel = candidates(grid, Circle(1, r), DISC, "relaxed")
         for i, j in res.indices():
             if i < grid.cells_x and j < grid.cells_y:
                 assert rel.mask[i, j]
 
 
 def test_relaxed_strip_covers_inset():
+    """Every cell that meets the inset rectangle [1,3]x[1,3]: all 16."""
     grid = build_strip_grid(4.0, 4.0, 1.0, 1.5)
-    cand = relaxed_candidates(grid, Circle(1, 1.0), StripContainer(4.0))
-    # inset rectangle [1,3]x[1,3] meets every cell except none: cells 0..3 per
-    # axis all touch it except those fully outside; exact oracle below
+    cand = candidates(grid, Circle(1, 1.0), StripContainer(4.0), "relaxed")
     got = set(cand.indices())
-    oracle = set()
-    r = Fraction(1)
-    for i in range(grid.cells_x):
-        for j in range(grid.cells_y):
-            x0, y0, x1, y1 = grid.cell_bounds_exact(i, j)
-            if x1 >= r and x0 <= 4 - r and y1 >= r and y0 <= 4 - r:
-                oracle.add((i, j))
-    assert got == oracle
+    assert got == brute_candidates(grid, 1.0, "relaxed")
+    assert len(got) == 16
 
 
-def test_relaxed_strip_empty_when_diameter_exceeds_length():
-    grid = build_strip_grid(1.5, 4.0, 0.4, 1.0)
-    cand = relaxed_candidates(grid, Circle(1, 0.9), StripContainer(4.0))
-    assert cand.count == 0  # 2r = 1.8 > 1.5: no admissible center at all
+@pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+@pytest.mark.parametrize("length, width", [(1.5, 4.0), (1.75, 4.0), (4.0, 1.75)])
+def test_strip_empty_when_diameter_exceeds_an_extent(mode, length, width):
+    """2r = 1.8 exceeds the length or the width: no admissible centre at
+    all, although at 1.75 one cell spans both ends of the empty inset."""
+    grid = build_strip_grid(length, width, 0.4, 1.0)
+    cand = candidates(grid, Circle(1, 0.9), StripContainer(width), mode)
+    assert cand.count == 0
+
+
+@given(
+    strip=st.booleans(),
+    size=st.floats(0.5, 4.0),
+    width=st.floats(0.5, 4.0),
+    radii=st.lists(st.floats(0.2, 2.5), min_size=1, max_size=3),
+    spacing=st.floats(0.3, 0.7),
+)
+def test_candidates_match_brute_oracle(strip, size, width, radii, spacing):
+    """Both modes, on discs and strips, from circles inside the container
+    to oversized ones, give the cells of the Fraction oracle; the same
+    masks come with the step arrays built per call or shared through one
+    memo per grid."""
+    min_radius = min(radii)
+    if strip:
+        grid = build_strip_grid(size, width, spacing * min_radius, min_radius)
+        container = StripContainer(width)
+    else:
+        grid = build_grid(size, spacing * min_radius, min_radius)
+        container = DISC
+    steps = {}
+    for k, radius in enumerate(radii, 1):
+        for mode in ("restricted", "relaxed"):
+            cand = candidates(grid, Circle(k, radius), container, mode)
+            assert set(cand.indices()) == brute_candidates(grid, radius, mode)
+            shared = candidates(grid, Circle(k, radius), container, mode, steps)
+            assert np.array_equal(cand.mask, shared.mask)
 
 
 def brute_frontier(min_sq, mode, limit=64):
@@ -260,6 +306,28 @@ def test_forbidden_reach_matches_brute_force(mode):
         assert max(max(abs(x), abs(y)) for x, y in hits) == reach, min_sq
 
 
+@pytest.mark.parametrize("mode", ["restricted", "relaxed"])
+def test_forbidden_widths_invert_forbidden(mode):
+    """With r = c = s, entry k is the first d >= 0 at which ``forbidden``
+    fails in column k; with r = 0 and c = s, the band-width form of the
+    staged farthest-pair test, entry k is the smallest d >= 0 with
+    (d + s)^2 + k^2 >= threshold, from k = 0 up, and for k >= s the first
+    d at which ``forbidden`` fails at column offset k - s.  Every threshold
+    up to 400, tables shorter and longer than the threshold's reach."""
+    s = 1 if mode == "relaxed" else 0
+    for threshold in range(401):
+        for size in (0, 3, 25):
+            columns = range(size + 1)
+            rows = [next(d for d in count() if not forbidden(k, d, threshold, mode)) for k in columns]
+            assert _forbidden_widths(threshold, s, s, size) == rows, (threshold, size)
+            bands = [next(d for d in count() if (d + s) ** 2 + k * k >= threshold) for k in columns]
+            assert _forbidden_widths(threshold, 0, s, size) == bands, (threshold, size)
+            for k in columns[s:]:
+                assert bands[k] == next(
+                    d for d in count() if not forbidden(d, k - s, threshold, mode)
+                ), (threshold, k)
+
+
 def test_forbidden_is_elementwise_on_arrays():
     offs = np.arange(-6, 7)
     for mode in ("restricted", "relaxed"):
@@ -282,8 +350,8 @@ def test_halving_delta_preserves_restricted_candidates(size, ratio):
     fine = build_grid(size, float(grid.delta_exact / 2), min_r)
     if fine.theta != 2 * grid.theta:  # snap produced a different refinement
         return
-    coarse_set = restricted_candidates(grid, Circle(1, radius), DISC)
-    fine_set = restricted_candidates(fine, Circle(1, radius), DISC)
+    coarse_set = candidates(grid, Circle(1, radius), DISC, "restricted")
+    fine_set = candidates(fine, Circle(1, radius), DISC, "restricted")
     for i, j in coarse_set.indices():
         assert fine_set.mask[2 * i, 2 * j]
 
@@ -300,8 +368,8 @@ def test_relaxed_covers_refined_restricted(size, ratio):
     fine = build_grid(size, float(coarse.delta_exact / 3), radius)
     if fine.theta != 3 * coarse.theta:  # snap produced a different refinement
         return
-    rel = relaxed_candidates(coarse, Circle(1, radius), DISC)
-    res = restricted_candidates(fine, Circle(1, radius), DISC)
+    rel = candidates(coarse, Circle(1, radius), DISC, "relaxed")
+    res = candidates(fine, Circle(1, radius), DISC, "restricted")
 
     def containing_cells(steps: Fraction, count: int):
         """Coarse cell indices (centered) whose closed extent holds a coordinate

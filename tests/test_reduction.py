@@ -29,13 +29,13 @@ from circlepack.grid import (
     _stride,
     _unpack,
     build_grid,
+    candidates,
     forbidden,
     forbidden_reach,
     grid_for_instance,
 )
 from circlepack.reduction import (
     RegionMap,
-    _annulus_distances,
     _extreme_cells,
     _forbidden_from_all,
     _hull,
@@ -81,6 +81,8 @@ def test_annulus_reference_example():
     got = {(i, j) for i, j in zip(*np.nonzero(mask))}
     assert got == brute_annulus(grid, 7.0, 6.0, 13.6)
     assert got  # ring is nonempty at this resolution
+    with pytest.raises(ValueError, match="different container size"):
+        annulus_region(Circle(1, 7.0), 13.5, 6.0, grid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,7 +94,7 @@ def test_annulus_reference_example():
 )
 def test_annulus_matches_brute_oracle(radius, reference, slack, spacing):
     """The integer thresholds give the cells of the Fraction oracle, with
-    the distance arrays built per call or passed in once per grid."""
+    the step arrays built per call or shared through one memo per grid."""
     size = max(radius, reference) + slack
     if size <= 0:
         return
@@ -100,8 +102,10 @@ def test_annulus_matches_brute_oracle(radius, reference, slack, spacing):
     mask = annulus_region(Circle(1, radius), size, reference, grid)
     got = {(i, j) for i, j in zip(*np.nonzero(mask))}
     assert got == brute_annulus(grid, radius, reference, size)
-    shared = annulus_region(Circle(1, radius), size, reference, grid, _annulus_distances(grid))
-    assert np.array_equal(mask, shared)
+    steps = {}
+    for _ in range(2):  # the second call reads the memo the first filled
+        shared = annulus_region(Circle(1, radius), size, reference, grid, steps)
+        assert np.array_equal(mask, shared)
 
 
 def test_annulus_degenerates_to_full_disk():
@@ -111,9 +115,7 @@ def test_annulus_degenerates_to_full_disk():
     got = {(i, j) for i, j in zip(*np.nonzero(mask))}
     assert got == brute_annulus(grid, 1.0, 1.0, 4.0)
     # inner radius is 0: every cell within the containment disk survives
-    from circlepack.grid import relaxed_candidates
-
-    rel = relaxed_candidates(grid, Circle(1, 1.0), CircleContainer())
+    rel = candidates(grid, Circle(1, 1.0), CircleContainer(), "relaxed")
     assert np.array_equal(mask, rel.mask)
 
 
@@ -139,10 +141,12 @@ def test_empty_annulus_kills_straddling_cells():
 
 
 def test_region_feasible_two_circle_threshold():
-    """{3,4}: impossible below 7 = r1 + r2, possible at 7 (tangent pair)."""
+    """{3,4}: impossible below 7 = r1 + r2, possible at 7 (tangent pair).
+    Below the largest radius the empty containment set alone refutes it."""
     inst = disc_instance("pair34", [3, 4])
     assert not region_feasible(inst, 6.9, 0.5)
     assert region_feasible(inst, 7.0, 0.5)
+    assert not region_feasible(inst, 3.9, 0.5)
 
 
 def test_region_feasible_monotone_in_size():
@@ -540,10 +544,13 @@ def test_region_feasible_is_the_propagate_answer(path, monkeypatch):
 
 
 def test_region_feasible_empty_strip_probe():
-    """strip-c at 10.796, the EMPTY lb3 probe pinned above."""
+    """strip-c at 10.796, the EMPTY lb3 probe pinned above; below the
+    largest diameter the empty containment set alone refutes it."""
     instance = read_instance(INSTANCE_DIR / "strip-c.json").instance
-    assert not region_feasible(instance, 10.795999523497063, 0.45 * instance.min_radius)
-    assert region_feasible(instance, 12.690567149297106, 0.45 * instance.min_radius)
+    delta_r = 0.45 * instance.min_radius
+    assert not region_feasible(instance, 10.795999523497063, delta_r)
+    assert region_feasible(instance, 12.690567149297106, delta_r)
+    assert not region_feasible(instance, 1.9 * instance.max_radius, delta_r)
 
 
 def test_propagated_masks_are_read_only(tmp_path):
