@@ -7,7 +7,10 @@ a value that provably cannot exceed the optimal container size:
 - ``lb2``: total circle area must fit inside the container area.
 - ``lb3``: bisection on the grid-based region-elimination test, which can
   certify infeasibility of candidate sizes between ``max(lb1, lb2)`` and the
-  current upper bound.
+  current upper bound.  On a disc the test is monotone within one lattice
+  (sizes with the same ``theta``), so ``lb3`` first probes one size per
+  lattice on the bisection's all-pass path and bisects only when one of
+  them is refuted (the proof is in its docstring).
 
 ``idle_area_triple`` gives the area of the pocket between three mutually
 tangent circles; no bound here uses it.
@@ -32,6 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .geometry import Instance, Placement, common_denominator, trivial_bounds, verify_placement
+from .grid import build_grid
 from .reduction import region_feasible
 
 __all__ = [
@@ -75,24 +79,85 @@ def lb2(instance: Instance) -> float:
     return math.sqrt(area)
 
 
-def lb3(instance: Instance, *, upper_seed: float | None = None) -> float:
+def lb3(
+    instance: Instance,
+    *,
+    upper_seed: float | None = None,
+    deadline: float | None = None,
+) -> float:
     """Lower bound from bisection on the region-elimination test.
 
     Searches for the largest container size at which the conservative region
-    test already certifies infeasibility, at cell spacing 0.45 * the smallest
-    radius, to 1e-3 relative to ``max(lb1, lb2)``.  Sizes where the test
-    passes prove nothing and shrink the search interval from above; only
-    certified-empty sizes raise the returned bound, so the result is always
-    valid.
+    test (``region_feasible``) already certifies infeasibility, at cell
+    spacing 0.45 * the smallest radius, to 1e-3 relative to ``max(lb1,
+    lb2)``.  Sizes where the test passes prove nothing and shrink the search
+    interval from above; only certified-empty sizes raise the returned
+    bound, so the result is always valid.  Once ``time.perf_counter()``
+    reaches ``deadline`` no further size is probed, and the bound certified
+    so far is returned.
+
+    On a disc the test is monotone within one lattice: for sizes s' < s
+    whose grids have the same ``theta``, a refutation at s is one at s'.
+    With ``theta`` fixed, the cell indices, the step arrays of
+    ``grid.candidates`` and the symmetry masks are the same at both sizes,
+    and ``delta = size / theta`` shrinks with the size.  So at s':
+
+    * the containment limit ``floor(((size - r) / delta)^2)``, with
+      ``(size - r) / delta = theta * (1 - r / size)``, is no larger;
+    * the annulus's inner limit, from ``theta * max(0, (2*ref + r) / size
+      - 1)``, is no smaller, and an annulus empty at s (``ref + r > size``)
+      is empty at s';
+    * so every start region is a subset of the one at s;
+    * every ``pair_thresholds`` entry ``ceil(((r_a + r_b) / delta)^2)`` is
+      no smaller, and ``forbidden`` only grows with the threshold.
+
+    The propagation fixpoint is the largest arc-consistent family inside
+    the start regions.  The fixpoint at s' is arc-consistent under the
+    smaller forbidden sets of s too, and lies inside the start regions of
+    s, so it lies inside the fixpoint at s: a region empty at s is empty
+    at s'.
+
+    When no size is refuted the bisection visits one fixed path of sizes,
+    each the midpoint of ``base`` and the one before, and returns ``base``.
+    By the lemma every size on that path passes once the smallest path size
+    of each ``theta`` passes, so only those are probed, in ascending size.
+    If one is refuted, the bisection runs, reusing the answers it has.
+    Across lattices the test is not monotone, so a probe per ``theta`` is
+    needed; a strip's width does not scale with its length, so strips
+    always bisect.
     """
     base = max(lb1(instance), lb2(instance))
     delta_r = 0.45 * instance.min_radius
     tolerance = 1e-3 * base
     high = trivial_bounds(instance)[1] if upper_seed is None else upper_seed
+    answers: dict[float, bool] = {}
+
+    def out_of_time() -> bool:
+        return deadline is not None and time.perf_counter() >= deadline
+
+    if not instance.is_strip:
+        # the bisection's own float expression, with no size refuted; the
+        # theta is that of the disc grid region_feasible builds
+        smallest: dict[int, float] = {}
+        probe = high
+        while probe - base > tolerance:
+            probe = 0.5 * (base + probe)
+            smallest[build_grid(probe, delta_r, instance.min_radius).theta] = probe
+        for size in sorted(smallest.values()):
+            if out_of_time():
+                return base
+            answers[size] = region_feasible(instance, size, delta_r)
+            if not answers[size]:
+                break
+        else:
+            return base
     certified = base
-    while high - certified > tolerance:
+    while high - certified > tolerance and not out_of_time():
         mid = 0.5 * (certified + high)
-        if region_feasible(instance, mid, delta_r):
+        feasible = answers.get(mid)
+        if feasible is None:
+            feasible = region_feasible(instance, mid, delta_r)
+        if feasible:
             high = mid
         else:
             certified = mid
@@ -605,12 +670,14 @@ def compute_bounds(
     instance: Instance,
     *,
     use_lb3: bool = True,
+    deadline: float | None = None,
 ) -> BoundReport:
     """Compute all enabled bounds and join them into a BoundReport.
 
     ``chosen_lb`` is the largest of ``lb1``, ``lb2`` and, when enabled,
     ``lb3``.  The upper bound is computed first because ``lb3`` bisects
-    below it.
+    below it.  ``deadline``, a ``time.perf_counter()`` value, stops
+    ``lb3``'s probes once reached.
     """
     timings: dict[str, float] = {}
 
@@ -628,7 +695,7 @@ def compute_bounds(
 
     value3: float | None = None
     if use_lb3:
-        value3, timings["lb3"] = _timed(lb3, instance, upper_seed=ub)
+        value3, timings["lb3"] = _timed(lb3, instance, upper_seed=ub, deadline=deadline)
 
     chosen = max(v for v in (value1, value2, value3) if v is not None)
     return BoundReport(

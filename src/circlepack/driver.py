@@ -220,7 +220,7 @@ def run(
     started = time.perf_counter()
     deadline = None if limits.time_seconds is None else started + limits.time_seconds
 
-    seed = compute_bounds(instance, use_lb3=use_lb3)
+    seed = compute_bounds(instance, use_lb3=use_lb3, deadline=deadline)
     lower0, upper0 = seed.chosen_lb, seed.ub
     if lower0 > upper0 + 1e-9 * max(1.0, upper0):
         raise ValueError(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
@@ -40,7 +41,9 @@ from circlepack.bounds import (
     load_best_known,
 )
 from circlepack.files import read_instance
-from circlepack.geometry import Instance, StripContainer, verify_placement
+from circlepack.geometry import Instance, StripContainer, trivial_bounds, verify_placement
+from circlepack.grid import grid_for_instance, pair_thresholds
+from circlepack.reduction import build_region_map, region_feasible
 
 INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
 
@@ -226,6 +229,88 @@ def test_lb3_stays_below_best_known_for_benchmark_seed():
     assert 9.0 - 1e-12 <= value <= 9.001 + 1e-9
 
 
+def _reference_lb3(instance, *, upper_seed=None, probe=region_feasible):
+    """``lb3`` as a plain bisection that probes every midpoint with
+    ``probe``: the oracle that ``lb3`` must match bit for bit."""
+    base = max(lb1(instance), lb2(instance))
+    delta_r = 0.45 * instance.min_radius
+    tolerance = 1e-3 * base
+    high = trivial_bounds(instance)[1] if upper_seed is None else upper_seed
+    certified = base
+    while high - certified > tolerance:
+        mid = 0.5 * (certified + high)
+        if probe(instance, mid, delta_r):
+            high = mid
+        else:
+            certified = mid
+    return max(base, certified)
+
+
+def _recording(sizes: list[float]):
+    """``region_feasible``, appending each size it is asked about to
+    ``sizes``."""
+
+    def probe(instance, size, delta_r):
+        sizes.append(size)
+        return region_feasible(instance, size, delta_r)
+
+    return probe
+
+
+@settings(deadline=None)
+@given(radii=st.lists(st.floats(0.5, 3.0), min_size=2, max_size=7), data=st.data())
+def test_region_test_is_monotone_within_one_lattice(radii, data):
+    """The lemma of ``lb3``: at sizes s' < s with one ``theta``, every
+    start region at s' lies in the one at s, every pair threshold at s' is
+    at least the one at s, and a refutation at s is one at s'."""
+    instance = Instance.from_radii("h", radii)
+    delta_r = 0.45 * instance.min_radius
+    size = max(lb1(instance), lb2(instance)) * data.draw(st.floats(0.95, 1.25))
+    grid = grid_for_instance(instance, size, delta_r)
+    # the sizes with this theta lie in ((theta - 1) * delta_r, theta * delta_r]
+    low = (grid.theta - 1) * delta_r
+    smaller = low + data.draw(st.floats(0.0, 1.0, exclude_max=True)) * (size - low)
+    small_grid = grid_for_instance(instance, smaller, delta_r)
+    assume(smaller < size and small_grid.theta == grid.theta)
+
+    masks = build_region_map(instance, size, grid).masks
+    small_masks = build_region_map(instance, smaller, small_grid).masks
+    for cid, mask in small_masks.items():
+        assert not (mask & ~masks[cid]).any()
+    thresholds = pair_thresholds(instance.radii, grid.delta_exact)
+    small_thresholds = pair_thresholds(instance.radii, small_grid.delta_exact)
+    for row, small_row in zip(thresholds, small_thresholds):
+        assert all(s >= t for s, t in zip(small_row, row))
+    if not region_feasible(instance, size, delta_r):
+        assert not region_feasible(instance, smaller, delta_r)
+
+
+# Across lattices the region test is not monotone: these radii pass at the
+# smallest size of the all-pass path (theta 21) and are refuted at a larger
+# one (theta 22), so a probe at the smallest size alone cannot confirm the
+# bound.
+CROSS_LATTICE_RADII = [2.568, 2.395, 2.293, 2.092, 0.742, 0.591, 0.533]
+CROSS_LATTICE_UB = 6.173835098287276  # its initial_upper_bound
+
+
+def test_region_test_is_not_monotone_across_lattices():
+    instance = Instance.from_radii("cross", CROSS_LATTICE_RADII)
+    delta_r = 0.45 * instance.min_radius
+    base = max(lb1(instance), lb2(instance))
+    path = [CROSS_LATTICE_UB]
+    while path[-1] - base > 1e-3 * base:
+        path.append(0.5 * (base + path[-1]))
+    floor, refuted = path[-1], path[4]
+    assert (floor, refuted) == (4.967729824602685, 5.038677193642954)
+    assert grid_for_instance(instance, floor, delta_r).theta == 21
+    assert region_feasible(instance, floor, delta_r)
+    assert grid_for_instance(instance, refuted, delta_r).theta == 22
+    assert not region_feasible(instance, refuted, delta_r)
+    value = lb3(instance, upper_seed=CROSS_LATTICE_UB)
+    assert repr(value) == repr(5.067056141259062)
+    assert value > max(lb1(instance), lb2(instance))
+
+
 # ---------------------------------------------------------------------------
 # lb4: a stub that nothing in the solver calls
 # ---------------------------------------------------------------------------
@@ -366,6 +451,71 @@ def test_upper_bound_is_pinned_on_bundled_instance(name):
 
 def test_pins_cover_every_bundled_instance():
     assert set(PINNED_UPPER_BOUNDS) == {path.stem for path in INSTANCE_DIR.glob("*.json")}
+
+
+# ---------------------------------------------------------------------------
+# lb3 against the plain bisection
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_UPPER_BOUNDS))
+def test_lb3_is_the_bisection_on_bundled_instance(name):
+    """Bit for bit, below the pinned seed ``U`` (as ``compute_bounds`` runs
+    it) and below the trivial upper bound."""
+    instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
+    for upper_seed in (PINNED_UPPER_BOUNDS[name][0], None):
+        value = lb3(instance, upper_seed=upper_seed)
+        assert repr(value) == repr(_reference_lb3(instance, upper_seed=upper_seed))
+
+
+@settings(deadline=None)
+@given(
+    large=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=4),
+    small=st.lists(st.floats(0.5, 0.8), max_size=3),
+    strip=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    seed=st.one_of(st.none(), st.floats(0.9, 1.6)),
+)
+def test_lb3_is_the_bisection_on_drawn_instance(large, small, strip, seed):
+    """Discs and strips (``strip`` is the width beyond the largest
+    diameter), below a drawn seed ``U`` or the trivial upper bound.  A few
+    large circles with small ones, like ``CROSS_LATTICE_RADII``, are where
+    the region test lifts a disc's bound and ``lb3`` bisects."""
+    radii = large + small
+    container = None if strip is None else StripContainer(width=2.0 * max(radii) + strip)
+    instance = Instance.from_radii("h", radii, container)
+    upper_seed = None if seed is None else seed * max(lb1(instance), lb2(instance))
+    value = lb3(instance, upper_seed=upper_seed)
+    assert repr(value) == repr(_reference_lb3(instance, upper_seed=upper_seed))
+
+
+@pytest.mark.parametrize("name, probes", [("eq-20", 3), ("zimm-05", 1), ("strip-c", None)])
+def test_lb3_probe_counts(name, probes, monkeypatch):
+    """One probe per lattice of the all-pass path on a disc whose bound is
+    not lifted (eq-20's path crosses 3 lattices, zimm-05's one); a strip
+    probes what the bisection probes."""
+    instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
+    upper_seed = PINNED_UPPER_BOUNDS[name][0]
+    reference: list[float] = []
+    _reference_lb3(instance, upper_seed=upper_seed, probe=_recording(reference))
+    sizes: list[float] = []
+    monkeypatch.setattr(circlepack.bounds, "region_feasible", _recording(sizes))
+    lb3(instance, upper_seed=upper_seed)
+    if probes is None:
+        assert sizes == reference
+    else:
+        assert len(sizes) == probes < len(reference)
+        assert sorted(sizes) == sizes and set(sizes) <= set(reference)
+
+
+def test_lb3_probes_nothing_past_the_deadline(monkeypatch):
+    """A deadline already passed leaves ``max(lb1, lb2)``, disc or strip."""
+    sizes: list[float] = []
+    monkeypatch.setattr(circlepack.bounds, "region_feasible", _recording(sizes))
+    for name in ("zimm-10", "strip-c"):
+        instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
+        value = lb3(instance, deadline=time.perf_counter())
+        assert value == max(lb1(instance), lb2(instance))
+    assert sizes == []
 
 
 def _reference_pair_scale(instance, centers):

@@ -16,8 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from circlepack import bounds
 from circlepack.driver import DriverLimits, bisection_budget, run
 from circlepack.geometry import Instance, StripContainer, verify_placement
+
+from test_bounds import _recording
 
 EQ3_OPT = 1.0 + 2.0 / math.sqrt(3.0)  # three unit circles
 
@@ -207,6 +210,18 @@ class TestSafeguards:
         assert result.status == "TimeLimit"
         assert result.upper == result.bounds.ub
         assert result.incumbent is result.bounds.ub_placement
+        replay_invariants(instance, result)
+
+    def test_passed_deadline_stops_the_seed_lower_bound(self, monkeypatch):
+        """The driver's deadline reaches ``lb3``: with no time left it
+        probes no size, and the run ends on the seed bracket."""
+        probes: list[float] = []
+        monkeypatch.setattr(bounds, "region_feasible", _recording(probes))
+        instance = Instance.from_radii("eq-20", [1.0] * 20)
+        result = run(instance, 0.01, limits=DriverLimits(time_seconds=0.0))
+        assert probes == []
+        assert result.status == "TimeLimit"
+        assert result.lower == result.bounds.lb3 == max(result.bounds.lb1, result.bounds.lb2)
         replay_invariants(instance, result)
 
     def test_anytime_bracket_under_small_node_budget(self):

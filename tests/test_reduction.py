@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import circlepack
-from circlepack import bounds
 from circlepack.feasibility import build_problem
 from circlepack.files import read_instance
 from circlepack.geometry import Circle, CircleContainer, Instance, exact
@@ -46,6 +45,8 @@ from circlepack.reduction import (
     region_feasible,
     write_region_pgm,
 )
+
+from test_bounds import _reference_lb3
 
 
 INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
@@ -520,9 +521,10 @@ def test_pinned_region_trace(name, size, delta, theta, counts, digest, sweeps):
 
 
 @pytest.mark.parametrize("path", sorted(INSTANCE_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_region_feasible_is_the_propagate_answer(path, monkeypatch):
+def test_region_feasible_is_the_propagate_answer(path):
     """``region_feasible`` answers from the packed fixpoint without
-    unpacking; at every size ``lb3`` probes it agrees with propagating the
+    unpacking; at every size the plain bisection of ``lb3`` probes (``lb3``
+    itself skips most of them on a disc) it agrees with propagating the
     built regions.  strip-c's probes include EMPTY ones."""
     instance = read_instance(path).instance
     probes = []
@@ -532,8 +534,7 @@ def test_region_feasible_is_the_propagate_answer(path, monkeypatch):
         probes.append((size, delta_r, answer))
         return answer
 
-    monkeypatch.setattr(bounds, "region_feasible", recording)
-    bounds.lb3(instance)
+    _reference_lb3(instance, probe=recording)
     assert probes
     for size, delta_r, answer in probes:
         grid = grid_for_instance(instance, size, delta_r)
