@@ -66,17 +66,31 @@ def lb1(instance: Instance) -> float:
     return radii[0] + radii[1]
 
 
+def _round_down(value: float, holds: Callable[[Fraction], bool]) -> float:
+    """``value``, stepped toward 0 one float at a time until ``holds`` is
+    true of it exactly."""
+    while not holds(Fraction(value)):
+        value = math.nextafter(value, 0.0)
+    return value
+
+
 def lb2(instance: Instance) -> float:
-    """Lower bound from total area.
+    """Lower bound from total area, rounded down to a certified float.
 
     The circles jointly cover ``sum(pi * r^2)``, so a disc container needs
     radius at least ``sqrt(sum(r^2))`` and a strip of fixed width ``W`` needs
-    length at least ``sum(pi * r^2) / W``.
+    length at least ``sum(pi * r^2) / W``.  Both are evaluated exactly, the
+    strip's with the float pi, which lies below pi.  The float estimate (the
+    nearest float to the strip's length, the square root of the nearest
+    float to the disc's sum) is one of the two floats either side of the
+    exact value, and is stepped down when it lies above, so the result is
+    the largest float that passes the exact check.
     """
-    area = sum(r * r for r in instance.radii)
+    area = sum(Fraction(r) ** 2 for r in instance.radii)
     if instance.is_strip:
-        return math.pi * area / instance.container.width
-    return math.sqrt(area)
+        length = Fraction(math.pi) * area / Fraction(instance.container.width)
+        return _round_down(float(length), lambda v: v <= length)
+    return _round_down(math.sqrt(area), lambda v: v * v <= area)
 
 
 def lb3(
@@ -609,13 +623,21 @@ def _shelf_strip_centers(instance: Instance) -> dict[int, tuple[float, float]]:
     return out
 
 
-def initial_upper_bound(instance: Instance) -> tuple[float, Placement]:
+def initial_upper_bound(
+    instance: Instance, *, deadline: float | None = None
+) -> tuple[float, Placement]:
     """Initial upper bound from a certified constructive placement.
 
     The placement comes from greedy tangent candidates for discs, shelf
     rows for strips, with a tangent-chain fallback, and is repaired until
     it passes exact verification.  The returned placement always verifies
     feasibly at the returned size, so the bound carries its certificate.
+
+    A disc's greedy placement is recentred, refined, and recentred again
+    only when ``_refine_disc`` moved a circle: otherwise the second
+    Nelder-Mead would restart from the centre it has just converged to.
+    Once ``time.perf_counter()`` reaches ``deadline``, the greedy placement
+    is certified as it is, unpolished.
     """
     if instance.n == 1:
         radius = instance.radii[0]
@@ -630,9 +652,11 @@ def initial_upper_bound(instance: Instance) -> tuple[float, Placement]:
         candidates.append(_certify_strip_placement(instance, _shelf_strip_centers(instance)))
     else:
         greedy = _greedy_disc_centers(instance)
-        greedy = _recenter(instance, greedy)
-        greedy = _refine_disc(instance, greedy)
-        greedy = _recenter(instance, greedy)
+        if deadline is None or time.perf_counter() < deadline:
+            greedy = _recenter(instance, greedy)
+            refined = _refine_disc(instance, greedy)
+            if refined != greedy:
+                greedy = _recenter(instance, refined)
         candidates.append(_certify_disc_placement(instance, greedy))
         candidates.append(_certify_disc_placement(instance, _chain_disc_centers(instance)))
     return min(candidates, key=lambda item: item[0])
@@ -676,8 +700,8 @@ def compute_bounds(
 
     ``chosen_lb`` is the largest of ``lb1``, ``lb2`` and, when enabled,
     ``lb3``.  The upper bound is computed first because ``lb3`` bisects
-    below it.  ``deadline``, a ``time.perf_counter()`` value, stops
-    ``lb3``'s probes once reached.
+    below it.  ``deadline``, a ``time.perf_counter()`` value, stops the
+    polishing of the seed placement and ``lb3``'s probes once reached.
     """
     timings: dict[str, float] = {}
 
@@ -690,7 +714,7 @@ def compute_bounds(
     timings["lb2"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    ub, placement = initial_upper_bound(instance)
+    ub, placement = initial_upper_bound(instance, deadline=deadline)
     timings["ub"] = time.perf_counter() - start
 
     value3: float | None = None

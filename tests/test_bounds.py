@@ -26,10 +26,12 @@ from circlepack.bounds import (
     BoundReport,
     _certify_disc_placement,
     _certify_strip_placement,
+    _chain_disc_centers,
     _exact_pair_scale,
     _greedy_disc_centers,
     _pair_tangent_positions,
     _reach_objective,
+    _recenter,
     _refine_disc,
     compute_bounds,
     idle_area_triple,
@@ -203,6 +205,40 @@ def test_lb1_lb2_never_exceed_sum_of_radii(radii):
     total = sum(instance.radii)
     assert lb1(instance) <= total + 1e-12
     assert lb2(instance) <= total + 1e-12
+
+
+def _assert_lb2_is_certified_floor(instance):
+    """The ``Fraction`` oracle of ``lb2``: the value passes the exact area
+    check, with the float pi (below pi) for a strip, and the next float up
+    fails it, so no larger float is certified."""
+    area = sum(Fraction(r) ** 2 for r in instance.radii)
+    if instance.is_strip:
+        exact = Fraction(math.pi) * area / Fraction(instance.container.width)
+        holds = lambda v: Fraction(v) <= exact  # noqa: E731
+    else:
+        holds = lambda v: Fraction(v) ** 2 <= area  # noqa: E731
+    value = lb2(instance)
+    assert holds(value)
+    assert not holds(math.nextafter(value, math.inf))
+
+
+@pytest.mark.parametrize(
+    "path", sorted(INSTANCE_DIR.glob("*.json")), ids=lambda path: path.stem
+)
+def test_lb2_is_the_certified_floor_on_bundled_instance(path):
+    _assert_lb2_is_certified_floor(read_instance(path).instance)
+
+
+@given(
+    st.lists(st.floats(0.05, 30.0), min_size=1, max_size=40),
+    st.one_of(st.none(), st.floats(0.0, 10.0)),
+)
+def test_lb2_is_the_certified_floor_on_drawn_instance(radii, strip):
+    """Drawn radii have full mantissas, so the float sum of their squares
+    is not exact, and the float expressions can land several ulps either
+    side of the bound."""
+    container = None if strip is None else StripContainer(width=2.0 * max(radii) + strip)
+    _assert_lb2_is_certified_floor(Instance.from_radii("h", radii, container))
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +445,11 @@ def test_upper_bound_strip_placement_always_verifies(radii):
 
 # The seed upper bound of every bundled instance, pinned: ``repr`` of the
 # value and a SHA-256 of ``repr(sorted(placement.centers.items()))``.  A
-# faster heuristic or certification kernel must leave both bit for bit.
+# faster heuristic or certification kernel leaves both bit for bit, unless
+# the change re-records them with old -> new rows in CHANGES.md.
 PINNED_UPPER_BOUNDS = {
     "eq-07": (3.0000000000020006, "1add786153084f1b6274657d68046391b1f1fc66bd193b4dcabd099ac9f6e1dd"),
-    "eq-20": (5.613025037873111, "3604c5a8934e86e35d6d0ee003da3c40cee24160ee89df43ec6a0a7c48e9d1d9"),
+    "eq-20": (5.613025037873521, "497b28757df6702b545c6b74f3e83d65e6028cbc0d1e15ae407e425273dc7496"),
     "eq-25": (6.19615242271183, "f63fc92e0851d57d8764bb60dfd1fb6c3b51a632d55f3b596dcb3fa4aafb6e0d"),
     "eq-30": (6.291502622134474, "cb5fabb01c5255a703f8fa4e2d48eb6ec42d91a984ce2228cb4f2e4410d78015"),
     "eq-35": (7.000000000006001, "2142ec2b317b5dff95af5c1f661bba774167b30e8cde02cadba72de01fd7e872"),
@@ -425,16 +462,16 @@ PINNED_UPPER_BOUNDS = {
     "zimm-07": (16.11058608550718, "a40031aa43105ada72ada89d06783e68662dcda121158ab044d6877d134c951b"),
     "zimm-08": (20.385277155808545, "cd0e61aa68d2babcbb2f3c7af306bd9897f4fb96001df4a1ae47fbed85d75316"),
     "zimm-09": (23.725068661885842, "384ceac2fa8aeb26eb7d182d853aaabd46ffbef2d18eed6a1221d9d83d203f8e"),
-    "zimm-10": (26.41632173954187, "fb9847c31e410fb1051f7de4966f56ce2797225c3604c0759332712b710e151c"),
-    "zimm-11": (30.1179371975845, "8634a86cd14f8026f02ac685e8cdb4768d29848a2fa650a35b307e9e523cea6f"),
-    "zimm-12": (33.840762958656086, "8d199196db0a9161be2c5c7e95e214f92ca66efee0a8093185d4a211f0465153"),
+    "zimm-10": (26.41632173954256, "716108d31a33c830ad511ca14c978c010bebe331c7ed44bc3805f13352270d89"),
+    "zimm-11": (30.117937197587157, "7ee8de7f2c1632050baeeb315d8618fac0fbed7c01bba2d7fc7a88611caeaedd"),
+    "zimm-12": (33.840762958657685, "07cd608f4fe32f769255baedf4a1d6c6b1d3d40de84ab2488e52b00dec6449ed"),
     "zimm-13": (35.62875293515064, "4886d422c250e33c8f235287ae1227bb5a20f940bb6dccfd5c7640cdda39d11a"),
-    "zimm-14": (38.36190472450652, "863d75680b0669cb116e962e022ca1a2be9b45b0a601e3469c114e40e8f19257"),
+    "zimm-14": (38.36190472450535, "43b0dc65df7e2b1fda3026ee6e0f634628046bdf6dd97f69e57b3921d47ec670"),
     "zimm-15": (41.858967633899866, "9cfeab48091ed16ec9af51a4d17e963232fda80f5773137163eb72f820908ed0"),
     "zimm-16": (45.89674315338504, "bc24860b75efd1f2302f9b4823cb86494c66140c904288b51dd521f4002d3071"),
     "zimm-17": (50.7977516485223, "90cae864500e2b53f0d3f98f45e84ac84c92d8d3ca3b1af3506a68891d95e413"),
     "zimm-18": (55.53791463736455, "0b85a2fb6940f10932991533635982bc6ea35cbc0e86eecbd657d378a81b13b0"),
-    "zimm-19": (60.16697154310492, "52445dbb0ff41a4c64dec481000364d2ca6dc5255fd952f091412252bb6f251b"),
+    "zimm-19": (60.16697154310488, "fbf26d66007f2769a465a1b6d9d1a0dbf56a84dffb2e74a2092a1dc1a3be194c"),
     "zimm-20": (64.96257898811052, "8604a214685182a701b33dac78ae9522c837a8199c882d8283661fec2fca3b1a"),
 }
 
@@ -451,6 +488,83 @@ def test_upper_bound_is_pinned_on_bundled_instance(name):
 
 def test_pins_cover_every_bundled_instance():
     assert set(PINNED_UPPER_BOUNDS) == {path.stem for path in INSTANCE_DIR.glob("*.json")}
+
+
+def _reference_initial_upper_bound(instance):
+    """The disc path of ``initial_upper_bound`` with both recenterings run
+    unconditionally, and whether ``_refine_disc`` kept a move."""
+    centred = _recenter(instance, _greedy_disc_centers(instance))
+    refined = _refine_disc(instance, centred)
+    candidates = [
+        _certify_disc_placement(instance, _recenter(instance, refined)),
+        _certify_disc_placement(instance, _chain_disc_centers(instance)),
+    ]
+    return min(candidates, key=lambda item: item[0]), refined != centred
+
+
+def _counting_recenter(calls: list[int]):
+    """``_recenter``, appending 1 to ``calls`` on every call."""
+
+    def recenter(instance, positions):
+        calls.append(1)
+        return _recenter(instance, positions)
+
+    return recenter
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in INSTANCE_DIR.glob("*.json") if not p.stem.startswith("strip")),
+    ids=lambda path: path.stem,
+)
+def test_second_recentering_runs_only_after_a_kept_move(path, monkeypatch):
+    """``_refine_disc`` keeps a move on zimm-05 and zimm-15 alone: there
+    the recentering runs twice, and the bound and placement are the
+    two-pass pipeline's bit for bit; elsewhere it runs once."""
+    instance = read_instance(path).instance
+    (reference, reference_placement), moved = _reference_initial_upper_bound(instance)
+    calls: list[int] = []
+    monkeypatch.setattr(circlepack.bounds, "_recenter", _counting_recenter(calls))
+    value, placement = initial_upper_bound(instance)
+    assert moved == (path.stem in ("zimm-05", "zimm-15"))
+    assert len(calls) == (2 if moved else 1)
+    if moved:
+        assert repr(value) == repr(reference)
+        assert repr(placement.centers) == repr(reference_placement.centers)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 3.0)), min_size=2, max_size=12))
+def test_one_recentering_keeps_the_two_pass_bound(radii):
+    """After a kept move the bound and placement are the two-pass
+    pipeline's bit for bit; without one, the second Nelder-Mead would
+    restart from the centre it converged to, and the bounds agree to 1e-10
+    relative."""
+    instance = Instance.from_radii("h", radii)
+    (reference, reference_placement), moved = _reference_initial_upper_bound(instance)
+    value, placement = initial_upper_bound(instance)
+    assert verify_placement(instance, placement, tolerance=0.0).feasible
+    if moved:
+        assert repr(value) == repr(reference)
+        assert repr(placement.centers) == repr(reference_placement.centers)
+    else:
+        assert abs(value - reference) <= 1e-10 * reference
+
+
+def test_passed_deadline_certifies_the_greedy_placement(monkeypatch):
+    """With no time left the greedy placement is certified as it is: no
+    recentering, no refinement."""
+
+    def unreachable(*args):
+        raise AssertionError("polished past the deadline")
+
+    instance = read_instance(INSTANCE_DIR / "zimm-20.json").instance
+    greedy = _certify_disc_placement(instance, _greedy_disc_centers(instance))
+    monkeypatch.setattr(circlepack.bounds, "_recenter", unreachable)
+    monkeypatch.setattr(circlepack.bounds, "_refine_disc", unreachable)
+    value, placement = initial_upper_bound(instance, deadline=time.perf_counter())
+    assert (value, placement.centers) == (greedy[0], greedy[1].centers)
+    assert verify_placement(instance, placement, tolerance=0.0).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ an incumbent placement that verifies at tolerance zero.
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +227,40 @@ class TestSafeguards:
         assert result.status == "TimeLimit"
         assert result.lower == result.bounds.lb3 == max(result.bounds.lb1, result.bounds.lb2)
         replay_invariants(instance, result)
+
+    def test_zero_budget_run_skips_the_seed_polish(self):
+        """A fresh process, so that nothing has loaded scipy: with no time
+        left the seed placement is certified unpolished, so the run never
+        imports scipy, and it returns within 0.2 s (about 0.01 s on a 2-CPU
+        host; polishing zimm-20 cold takes about 0.4 s, most of it the
+        import of ``scipy.optimize``)."""
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import json, sys, time\n"
+            "from circlepack.driver import DriverLimits, run\n"
+            "from circlepack.files import read_instance\n"
+            "from circlepack.geometry import verify_placement\n"
+            "instance = read_instance(sys.argv[1]).instance\n"
+            "start = time.perf_counter()\n"
+            "result = run(instance, 0.01, limits=DriverLimits(time_seconds=0.0))\n"
+            "seconds = time.perf_counter() - start\n"
+            "print(json.dumps({'status': result.status, 'seconds': seconds,\n"
+            "    'verified': verify_placement(instance, result.incumbent, tolerance=0.0).feasible,\n"
+            "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(root / "src/circlepack/data/instances/zimm-20.json")],
+            cwd=root / "src",
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        report = json.loads(out.stdout)
+        assert report["status"] == "TimeLimit"
+        assert report["verified"]
+        assert report["scipy"] == []
+        assert report["seconds"] < 0.2
 
     def test_anytime_bracket_under_small_node_budget(self):
         """Solver node limits leave outcomes unknown; unknowns must never
