@@ -51,7 +51,6 @@ from .reduction import (
 )
 from .feasibility import (
     FeasibilityProblem,
-    PruneConfig,
     SolveLimits,
     SolveOutcome,
     assignment_to_placement,
@@ -108,7 +107,6 @@ __all__ = [
     "compute_bounds",
     "load_best_known",
     "FeasibilityProblem",
-    "PruneConfig",
     "SolveLimits",
     "SolveOutcome",
     "build_problem",

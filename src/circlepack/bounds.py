@@ -673,35 +673,35 @@ class BoundReport:
 
     lb1: float
     lb2: float
-    lb3: float | None
+    lb3: float
     chosen_lb: float
     ub: float
     ub_placement: Placement
     timings: Mapping[str, float]
 
     def as_dict(self) -> dict:
+        """The named bounds, in the key order of the bounds report and of a
+        result file's ``initial_bounds``."""
         return {
             "lb1": self.lb1,
             "lb2": self.lb2,
             "lb3": self.lb3,
             "chosen_lb": self.chosen_lb,
             "ub": self.ub,
-            "timings": dict(self.timings),
         }
 
 
 def compute_bounds(
     instance: Instance,
     *,
-    use_lb3: bool = True,
     deadline: float | None = None,
 ) -> BoundReport:
-    """Compute all enabled bounds and join them into a BoundReport.
+    """Compute every bound and join them into a BoundReport.
 
-    ``chosen_lb`` is the largest of ``lb1``, ``lb2`` and, when enabled,
-    ``lb3``.  The upper bound is computed first because ``lb3`` bisects
-    below it.  ``deadline``, a ``time.perf_counter()`` value, stops the
-    polishing of the seed placement and ``lb3``'s probes once reached.
+    ``chosen_lb`` is the largest of ``lb1``, ``lb2`` and ``lb3``.  The
+    upper bound is computed first because ``lb3`` bisects below it.
+    ``deadline``, a ``time.perf_counter()`` value, stops the polishing of
+    the seed placement and ``lb3``'s probes once reached.
     """
     timings: dict[str, float] = {}
 
@@ -717,11 +717,11 @@ def compute_bounds(
     ub, placement = initial_upper_bound(instance, deadline=deadline)
     timings["ub"] = time.perf_counter() - start
 
-    value3: float | None = None
-    if use_lb3:
-        value3, timings["lb3"] = _timed(lb3, instance, upper_seed=ub, deadline=deadline)
+    start = time.perf_counter()
+    value3 = lb3(instance, upper_seed=ub, deadline=deadline)
+    timings["lb3"] = time.perf_counter() - start
 
-    chosen = max(v for v in (value1, value2, value3) if v is not None)
+    chosen = max(value1, value2, value3)
     return BoundReport(
         lb1=value1,
         lb2=value2,
@@ -731,12 +731,6 @@ def compute_bounds(
         ub_placement=placement,
         timings=timings,
     )
-
-
-def _timed(func, *args, **kwargs):
-    start = time.perf_counter()
-    value = func(*args, **kwargs)
-    return value, time.perf_counter() - start
 
 
 def load_best_known(path: str | None = None) -> dict[str, float]:

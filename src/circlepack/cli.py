@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import compute_bounds, initial_upper_bound, lb1, lb2, load_best_known
 from .driver import DriverLimits, RunResult, run
-from .feasibility import PruneConfig, build_problem
+from .feasibility import build_problem
 from .files import (
     FileFormatError,
     InstanceFile,
@@ -35,44 +35,21 @@ from .milp import export_milp
 from .render import render_svg
 
 
-def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-lb3", action="store_true", help="skip the region-elimination lower bound")
-
-
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=0.01, help="relative optimality gap target (default 0.01)")
     parser.add_argument("--delta0", type=float, default=None, help="initial lattice spacing (default: automatic)")
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS", help="wall-clock budget")
-    _add_bound_flags(parser)
-    parser.add_argument("--no-reduction", action="store_true", help="skip region elimination before each model")
-    parser.add_argument("--no-prune-farthest", action="store_true", help="disable the farthest-pair pruning rule")
-    parser.add_argument("--no-prune-conditional", action="store_true", help="disable the conditional pruning rule")
 
 
-def _prune_config(args: argparse.Namespace) -> PruneConfig:
-    return PruneConfig(
-        farthest_pair=not args.no_prune_farthest,
-        conditional=not args.no_prune_conditional,
-    )
-
-
-def _run_from_args(instance_file: InstanceFile, args: argparse.Namespace) -> RunResult:
+def _run_from_args(instance: Instance, args: argparse.Namespace) -> RunResult:
     limits = DriverLimits(time_seconds=args.time_limit)
-    return run(
-        instance_file.instance,
-        args.epsilon,
-        delta0=args.delta0,
-        limits=limits,
-        use_reduction=not args.no_reduction,
-        use_lb3=not args.no_lb3,
-        prune=_prune_config(args),
-    )
+    return run(instance, args.epsilon, delta0=args.delta0, limits=limits)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance_file = read_instance(args.instance)
     instance = instance_file.instance
-    result = _run_from_args(instance_file, args)
+    result = _run_from_args(instance, args)
     out = Path(args.out) if args.out else Path(f"{Path(args.instance).stem}.result.json")
     payload = result_payload(instance, result, tolerance=0.0)
     write_result(payload, out)
@@ -91,15 +68,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     instance_file = read_instance(args.instance)
     instance = instance_file.instance
-    report = compute_bounds(instance, use_lb3=not args.no_lb3)
+    report = compute_bounds(instance)
     payload = {
         "instance": instance.name,
         "n": instance.n,
-        "lb1": report.lb1,
-        "lb2": report.lb2,
-        "lb3": report.lb3,
-        "chosen_lb": report.chosen_lb,
-        "ub": report.ub,
+        **report.as_dict(),
         "timings": {name: seconds for name, seconds in sorted(report.timings.items())},
     }
     text = json.dumps(payload, indent=2)
@@ -261,19 +234,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         best = instance_file.best_known
         if best is None:
             best = table.get(instance.name)
-        limits = DriverLimits(time_seconds=args.time_limit)
         started = time.monotonic()
         # The benchmark measures what the solver certifies on its own, so
         # reference values feed only the comparison columns and the audit.
-        result = run(
-            instance,
-            args.epsilon,
-            delta0=args.delta0,
-            limits=limits,
-            use_reduction=not args.no_reduction,
-            use_lb3=not args.no_lb3,
-            prune=_prune_config(args),
-        )
+        result = _run_from_args(instance, args)
         seconds = time.monotonic() - started
         rows.append(_bench_row(instance_file, result, seconds, best))
         if best is not None:
@@ -315,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="report the lower bounds lb1-lb3 and the constructive upper bound")
     p_bounds.add_argument("instance")
     p_bounds.add_argument("--out", default=None, help="also write the JSON report here")
-    _add_bound_flags(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="check a result file against its instance")

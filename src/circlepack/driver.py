@@ -26,7 +26,6 @@ from typing import Literal
 
 from .bounds import BoundReport, compute_bounds
 from .feasibility import (
-    PruneConfig,
     SolveLimits,
     SolveOutcome,
     assignment_to_placement,
@@ -81,7 +80,9 @@ class IterationRecord:
     otherwise.  ``lower``/``upper`` snapshot the bracket after the event.
     ``nodes`` is the solver's search-node count, and ``farthest_pair``
     and ``wipeout`` its per-rule prune counts (``SolveOutcome``); all
-    three are 0 for region events.  ``sweeps`` and ``cells`` are a
+    three are 0 for region events.  ``reason`` is the solver's
+    ``SolveOutcome.reason`` for an unknown search ("timeout" or
+    "node-limit") and None otherwise.  ``sweeps`` and ``cells`` are a
     nonempty region event's propagation sweeps (``RegionMap.sweeps``) and
     the total of its surviving cells over all circles; both are 0 for an
     empty region event, whose propagation returns no map, and for search
@@ -99,6 +100,7 @@ class IterationRecord:
     nodes: int = 0
     farthest_pair: int = 0
     wipeout: int = 0
+    reason: str | None = None
     sweeps: int = 0
     cells: int = 0
 
@@ -136,19 +138,6 @@ class RunResult:
     trials: int
     perturbations: int
     bounds: BoundReport
-
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "gap": self.gap,
-            "status": self.status,
-            "epsilon": self.epsilon,
-            "elapsed": self.elapsed,
-            "trials": self.trials,
-            "perturbations": self.perturbations,
-            "log": [record.as_dict() for record in self.log],
-        }
 
 
 def bisection_budget(epsilon: float, upper0: float, lower0: float) -> int:
@@ -203,10 +192,6 @@ def run(
     epsilon: float,
     delta0: float | None = None,
     limits: DriverLimits | None = None,
-    *,
-    use_reduction: bool = True,
-    use_lb3: bool = True,
-    prune: PruneConfig | None = None,
 ) -> RunResult:
     """Drive the bisection to a certified epsilon-optimal bracket.
 
@@ -220,7 +205,7 @@ def run(
     started = time.perf_counter()
     deadline = None if limits.time_seconds is None else started + limits.time_seconds
 
-    seed = compute_bounds(instance, use_lb3=use_lb3, deadline=deadline)
+    seed = compute_bounds(instance, deadline=deadline)
     lower0, upper0 = seed.chosen_lb, seed.ub
     if lower0 > upper0 + 1e-9 * max(1.0, upper0):
         raise ValueError(
@@ -266,6 +251,7 @@ def run(
                 nodes=search.nodes if search else 0,
                 farthest_pair=search.farthest_pair if search else 0,
                 wipeout=search.wipeout if search else 0,
+                reason=search.reason if search else None,
                 sweeps=regions.sweeps if regions else 0,
                 cells=sum(map(regions.cell_count, regions.masks)) if regions else 0,
             )
@@ -311,18 +297,14 @@ def run(
             state.delta = max(state.delta, floor)
             grid = grid_for_instance(instance, size, state.delta)
 
-            regions = None
-            if use_reduction:
-                start = time.perf_counter()
-                regions = propagate(
-                    build_region_map(instance, size, grid), instance.radii
-                )
-                seconds = time.perf_counter() - start
-                if regions is None:
-                    state.lower = size
-                    record("region", "empty", seconds)
-                    break
-                record("region", "nonempty", seconds, regions=regions)
+            start = time.perf_counter()
+            regions = propagate(build_region_map(instance, size, grid), instance.radii)
+            seconds = time.perf_counter() - start
+            if regions is None:
+                state.lower = size
+                record("region", "empty", seconds)
+                break
+            record("region", "nonempty", seconds, regions=regions)
 
             solve_limits = SolveLimits(
                 time_seconds=remaining_time(),
@@ -332,7 +314,6 @@ def run(
             restricted = solve(
                 build_problem(instance, grid, "restricted", regions),
                 limits=solve_limits,
-                prune=prune,
             )
             seconds = time.perf_counter() - start
             if restricted.is_feasible:
@@ -355,7 +336,6 @@ def run(
             relaxed = solve(
                 build_problem(instance, grid, "relaxed", regions),
                 limits=solve_limits,
-                prune=prune,
             )
             seconds = time.perf_counter() - start
             if relaxed.is_infeasible:

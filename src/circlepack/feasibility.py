@@ -8,7 +8,7 @@ separation, so when even that fails, no continuous packing exists at the
 probed container size.
 
 Both models are solved by one depth-first engine that assigns circles in
-decreasing-radius order with two individually toggleable pruning rules:
+decreasing-radius order with both pruning rules always on:
 
 * farthest pair — back out when even the farthest candidate cells of the
   two largest unassigned circles are closer than their radius sum;
@@ -16,9 +16,10 @@ decreasing-radius order with two individually toggleable pruning rules:
   that would overlap the newly placed circle, failing fast on any emptied
   domain.
 
-All pruning is conservative: toggling rules changes the search effort,
-never the outcome.  The equivalent binary linear program can be written
-to an LP file by the milp module.
+All pruning is conservative: each rule cuts only nodes below which no
+assignment exists, so it changes the search effort, never the outcome.
+The equivalent binary linear program can be written to an LP file by the
+milp module.
 
 A search node is kept cheap without changing any search decision.  Each
 domain is held as two Python ints in the packed layout of ``grid`` (whose
@@ -126,7 +127,6 @@ from .reduction import RegionMap
 
 __all__ = [
     "FeasibilityProblem",
-    "PruneConfig",
     "SolveLimits",
     "SolveOutcome",
     "assignment_to_placement",
@@ -141,14 +141,6 @@ class SolveLimits:
 
     time_seconds: float | None = None
     max_nodes: int = 100_000_000
-
-
-@dataclass(frozen=True)
-class PruneConfig:
-    """Which pruning rules the search applies (all sound, all optional)."""
-
-    farthest_pair: bool = True
-    conditional: bool = True
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,7 @@ class SolveOutcome:
     counts the conditional eliminations that emptied a domain.  A node
     counts under the first rule that prunes it, in the order of the node
     loop (module docstring).  Like ``nodes`` they are deterministic for one
-    problem, limits and pruning.
+    problem and limits.
     """
 
     status: Literal["feasible", "infeasible", "unknown"]
@@ -358,15 +350,9 @@ class _LimitHit(Exception):
 class _Engine:
     """Single-threaded depth-first search over one feasibility problem."""
 
-    def __init__(
-        self,
-        problem: FeasibilityProblem,
-        limits: SolveLimits,
-        prune: PruneConfig,
-    ) -> None:
+    def __init__(self, problem: FeasibilityProblem, limits: SolveLimits) -> None:
         self.problem = problem
         self.limits = limits
-        self.prune = prune
         self.mode = problem.mode
         grid = problem.grid
         n = problem.instance.n
@@ -444,11 +430,6 @@ class _Engine:
             (cols.bit_length() - 1) // t,
         )
 
-    def _tick(self, count: int = 1) -> None:
-        self.nodes += count
-        if self.nodes >= self._next_check:
-            self._check_limits()
-
     def _check_limits(self) -> None:
         """Stop the search past the node limit or the deadline.  The
         deadline is read every 256 nodes, the node limit at the node that
@@ -479,14 +460,14 @@ class _Engine:
         """The farthest-pair rule at the node of circle ``t``: even the
         farthest candidates of the two largest unassigned circles are too
         close (bounding-box upper bound on distance).  Counts its cuts.
-        This is the test at the root and on the path without conditional
-        elimination; the node loop of ``_dfs`` runs the same test inline.
+        This is the test at the root; the node loop of ``_dfs`` runs the
+        same test inline.
 
         No domain the search sees is empty, so both boxes exist: solve
         rejects an empty start domain, and elimination stops at the first
         domain it empties.
         """
-        if not self.prune.farthest_pair or t + 1 >= self.n:
+        if t + 1 >= self.n:
             return False
         box_a, box_b = self.masks[t][2], self.masks[t + 1][2]
         max_di = max(box_a[1] - box_b[0], box_b[1] - box_a[0])
@@ -496,22 +477,13 @@ class _Engine:
         self.farthest_prunes += 1
         return True
 
-    def _conflicts(self, t: int, i: int, j: int) -> bool:
-        for u in range(t):
-            pi, pj = self.positions[u]
-            if forbidden(i - pi, j - pj, self.min_sq[u][t], self.mode):
-                return True
-        return False
-
     def _leaf(self, t: int) -> bool:
         """Last level: any candidate left completes the packing; each counts
-        as a node, or one node when none is left.  Without conditional
-        elimination the candidates are checked against every assigned
-        circle first."""
+        as a node, or one node when none is left."""
         candidates = self._ordered(t, self.masks[t])
-        if not self.prune.conditional:
-            candidates = [(i, j) for i, j in candidates if not self._conflicts(t, i, j)]
-        self._tick(len(candidates) or 1)
+        self.nodes += len(candidates) or 1
+        if self.nodes >= self._next_check:
+            self._check_limits()
         if not candidates:
             return False
         self.positions[t] = candidates[0]
@@ -524,18 +496,7 @@ class _Engine:
             return self._leaf(t)
 
         masks, positions = self.masks, self.positions
-        if not self.prune.conditional:
-            for i, j in self._ordered(t, masks[t]):
-                self._tick()
-                if self._conflicts(t, i, j):
-                    continue
-                positions[t] = (i, j)
-                if not self._farthest_prunes(t + 1) and self._dfs(t + 1):
-                    return True
-                positions[t] = None
-            return False
-
-        # the node loop does the node tick, the conditional elimination and
+        # the node loop does the node count, the conditional elimination and
         # the child's farthest-pair test itself, since a call per child or
         # per clear costs more than most children (the limits stay in
         # _check_limits).  The circles t+1..n-1 fall into runs of adjacent
@@ -566,7 +527,7 @@ class _Engine:
         # the child's farthest-pair test reads the boxes of circles t+1 and
         # t+2, so it runs on the run holding t+2, which carries the
         # half-width table of its threshold for the staged test
-        if self.prune.farthest_pair and t + 2 < n:
+        if t + 2 < n:
             runs[0 if spans[0][1] > t + 2 else 1][-1] = self.bands[min_sq[t + 2]]
             pair_sq = self.min_sq[t + 1][t + 2]
         for i, j in self._ordered(t, masks[t]):
@@ -691,13 +652,12 @@ class _Engine:
 def solve(
     problem: FeasibilityProblem,
     limits: SolveLimits | None = None,
-    prune: PruneConfig | None = None,
 ) -> SolveOutcome:
     """Decide one feasibility problem within the given budget.
 
-    The search is deterministic: the same problem, limits and pruning give
-    the same status, assignment and node count.
+    The search is deterministic: the same problem and limits give the same
+    status, assignment and node count.
     """
     if problem.trivially_infeasible:
         return SolveOutcome(status="infeasible", nodes=0, elapsed=0.0)
-    return _Engine(problem, limits or SolveLimits(), prune or PruneConfig()).run()
+    return _Engine(problem, limits or SolveLimits()).run()

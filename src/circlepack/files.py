@@ -255,13 +255,7 @@ def result_payload(
         "gap": result.gap,
         "tolerance": tolerance,
         "placement": encode_placement(result.incumbent),
-        "initial_bounds": {
-            "lb1": result.bounds.lb1,
-            "lb2": result.bounds.lb2,
-            "lb3": result.bounds.lb3,
-            "chosen_lb": result.bounds.chosen_lb,
-            "ub": result.bounds.ub,
-        },
+        "initial_bounds": result.bounds.as_dict(),
         "trials": result.trials,
         "perturbations": result.perturbations,
         "log": [record.as_dict() for record in result.log],

@@ -19,7 +19,6 @@ import circlepack
 from circlepack.bounds import idle_area_triple
 from circlepack.driver import DriverLimits, run
 from circlepack.feasibility import (
-    PruneConfig,
     SolveLimits,
     assignment_to_placement,
     build_problem,
@@ -146,20 +145,18 @@ def _random_triple_problem(rng: np.random.Generator):
 
 def test_criterion_05_oracle_equivalence_three_circles():
     rng = np.random.default_rng(20260814)
-    no_pruning = PruneConfig(farthest_pair=False, conditional=False)
     agreements = 0
     for _ in range(200):
         instance, grid = _random_triple_problem(rng)
         for mode in ("restricted", "relaxed"):
             problem = build_problem(instance, grid, mode)
             expected = "feasible" if brute_force_feasible(problem) else "infeasible"
-            for prune in (PruneConfig(), no_pruning):
-                outcome = solve(problem, prune=prune)
-                assert outcome.status == expected, (
-                    f"{mode} mode with {prune} disagreed with enumeration "
-                    f"(radii={instance.radii}, size={float(grid.size)}, theta={grid.theta})"
-                )
-                agreements += 1
+            outcome = solve(problem)
+            assert outcome.status == expected, (
+                f"{mode} mode disagreed with enumeration "
+                f"(radii={instance.radii}, size={float(grid.size)}, theta={grid.theta})"
+            )
+            agreements += 1
     print(f"criterion 5: PASS  {agreements} solve outcomes matched enumeration (200 instances)")
 
 
@@ -334,8 +331,7 @@ def test_criterion_09_bound_audit(bench_results):
             ("lb2", bounds.lb2),
             ("lb3", bounds.lb3),
         ):
-            if value is not None:
-                assert value <= best + 1e-3, f"{name}: {label}={value} exceeds best known {best}"
+            assert value <= best + 1e-3, f"{name}: {label}={value} exceeds best known {best}"
         assert result.lower <= best + 1e-3, f"{name}: L={result.lower} exceeds best known {best}"
         assert best <= result.upper + 1e-3, f"{name}: U={result.upper} below best known {best}"
     assert audited == 19

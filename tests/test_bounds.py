@@ -901,13 +901,6 @@ def test_compute_bounds_ub_is_the_placement_size():
     assert report.chosen_lb <= report.ub
 
 
-def test_compute_bounds_toggles_disable_methods():
-    report = compute_bounds(Instance.from_radii("p", [3, 4]), use_lb3=False)
-    assert report.lb3 is None
-    assert "lb3" not in report.timings
-    assert report.chosen_lb == 7.0
-
-
 def test_compute_bounds_strip_has_no_lb4():
     strip = Instance.from_radii("s", [1, 1], StripContainer(width=4.0))
     report = compute_bounds(strip)
@@ -935,9 +928,11 @@ def test_load_best_known_bundled_table():
     assert len(table) >= 15
 
 
-def test_report_as_dict_round_trip():
+def test_report_as_dict_holds_the_named_bounds_in_order():
     report = compute_bounds(Instance.from_radii("p", [1, 1]))
     data = report.as_dict()
+    assert list(data) == ["lb1", "lb2", "lb3", "chosen_lb", "ub"]
     assert data["lb1"] == 2.0
     assert data["ub"] == 2.0
-    assert set(data["timings"]) >= {"lb1", "lb2", "ub"}
+    assert isinstance(data["lb3"], float)
+    assert set(report.timings) == {"lb1", "lb2", "ub", "lb3"}

@@ -3,17 +3,15 @@
 The reference oracle below decides small problems (at most three circles)
 by exhaustive vectorized enumeration over the candidate domains, deriving
 the pairwise integer thresholds independently from exact rational
-arithmetic.  The solver must agree with it in both modes and under every
-pruning configuration.  A second reference, a plain depth-first search on
-numpy masks, pins the node loop itself: its counts, its stops and the
-state it leaves.
+arithmetic.  The solver must agree with it in both modes.  A second
+reference, a plain depth-first search on numpy masks, pins the node loop
+itself: its counts, its stops and the state it leaves.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import product
 from pathlib import Path
 from typing import Mapping
 
@@ -25,7 +23,6 @@ from hypothesis import strategies as st
 import circlepack
 from circlepack.feasibility import (
     FeasibilityProblem,
-    PruneConfig,
     SolveLimits,
     _Engine,
     assignment_to_placement,
@@ -155,26 +152,32 @@ def _place_first(engine: _Engine, i: int, j: int) -> bool:
     """Run the search's node loop on the node that places circle 1 at
     (i, j), and return whether its conditional elimination emptied a domain.
 
-    ``engine`` has three circles, a node limit of 1 and the farthest-pair
-    rule off.  Circle 1's domain becomes the single cell (i, j), so the
-    first node places it there.  When no domain empties, the node limit
+    ``engine`` has three circles, a node limit of 1 and a circles 2-3
+    threshold of 0, which forbids nothing, so the child's farthest-pair
+    test never cuts.  Circle 1's domain becomes the single cell (i, j), so
+    the first node places it there.  When no domain empties, the node limit
     stops the search at the next node, and ``engine.masks`` keeps the
     domains that the elimination wrote for circles 2 and 3.  When one
     empties, the search writes no domain and no position and ends
-    infeasible; the positions are reset first, since the previous run, which
-    the node limit stopped, left circle 1's there.
+    infeasible.  The root's farthest-pair test of circles 1 and 2 is the
+    box-corner test of circle 2's clear, so when it holds the root is cut
+    before that node: circle 2 would have emptied.  The positions are
+    reset first, since the previous run, which the node limit stopped, left
+    circle 1's there.
     """
     s, c = engine.row_stride, engine.col_stride
     engine.masks[0] = (1 << i * s + j, 1 << j * c + i, (i, i, j, j))
     engine.positions[:] = [None] * engine.n
-    engine.nodes = engine.wipeouts = 0
+    engine.nodes = engine.wipeouts = engine.farthest_prunes = 0
     outcome = engine.run()
-    assert (outcome.status, outcome.nodes, outcome.wipeout) in {
-        ("unknown", 2, 0),
-        ("infeasible", 1, 1),
+    counts = (outcome.status, outcome.nodes, outcome.farthest_pair, outcome.wipeout)
+    assert counts in {
+        ("unknown", 2, 0, 0),
+        ("infeasible", 1, 0, 1),
+        ("infeasible", 0, 1, 0),
     }
-    assert engine.positions[0] == ((i, j) if outcome.wipeout == 0 else None)
-    return outcome.wipeout == 1
+    assert engine.positions[0] == ((i, j) if outcome.is_unknown else None)
+    return outcome.is_infeasible
 
 
 def _assert_step_clears(
@@ -312,12 +315,11 @@ class TestSolveExamples:
     def test_relaxed_infeasible_when_total_area_exceeds_container(self):
         # three unit circles cannot fit a radius-1.6 disc (even their raw
         # area bound sqrt(3) exceeds it); the relaxed model proves it on a
-        # coarse grid, with and without pruning
+        # coarse grid
         instance = Instance.from_radii("tri", [1.0, 1.0, 1.0])
         grid = grid_for_instance(instance, 1.6, 0.35)
         problem = build_problem(instance, grid, "relaxed")
         assert solve(problem).is_infeasible
-        assert solve(problem, prune=PruneConfig(farthest_pair=False, conditional=False)).is_infeasible
         assert not brute_force_feasible(problem)
 
     def test_single_circle_centers_at_origin(self):
@@ -329,13 +331,8 @@ class TestSolveExamples:
 
 
 # --------------------------------------------------------------------------
-# solve: oracle equivalence, pruning neutrality, determinism, limits
+# solve: oracle equivalence, determinism, limits
 # --------------------------------------------------------------------------
-
-PRUNE_CONFIGS = tuple(
-    PruneConfig(farthest_pair=fp, conditional=cond)
-    for fp, cond in product((True, False), repeat=2)
-)
 
 
 class TestSolveAgainstOracle:
@@ -348,11 +345,9 @@ class TestSolveAgainstOracle:
                 problem = build_problem(instance, grid, mode)
                 expected = brute_force_feasible(problem)
                 seen[expected] += 1
-                for prune in PRUNE_CONFIGS:
-                    outcome = solve(problem, prune=prune)
-                    assert outcome.status == (
-                        "feasible" if expected else "infeasible"
-                    ), f"{mode} {prune} disagrees with enumeration"
+                assert solve(problem).status == (
+                    "feasible" if expected else "infeasible"
+                ), f"{mode} disagrees with enumeration"
         assert seen[True] > 5 and seen[False] > 5, "sampled instances too one-sided"
 
     def test_restricted_feasible_implies_relaxed_feasible(self):
@@ -393,17 +388,15 @@ class TestSolveAgainstOracle:
             assert verify_placement(instance, placement, tolerance=0).feasible
         assert checked > 3
 
-    def test_exact_tangency_instance_agrees_across_pruning(self):
+    def test_exact_tangency_instance_matches_enumeration(self):
         # radius sums 3-4-5 admit exactly tangent lattice triples at unit
         # spacing
         instance = Instance.from_radii("pyth", [3.0, 2.0, 1.0])
         for size in (5.0, 5.5, 6.5):
             grid = grid_for_instance(instance, size, 0.5)
             problem = build_problem(instance, grid, "restricted")
-            statuses = {
-                solve(problem, prune=prune).status for prune in PRUNE_CONFIGS
-            }
-            assert len(statuses) == 1
+            expected = "feasible" if brute_force_feasible(problem) else "infeasible"
+            assert solve(problem).status == expected, size
 
 
 class TestTiedRadii:
@@ -420,16 +413,14 @@ class TestTiedRadii:
             for mode in ("restricted", "relaxed"):
                 for symmetry in (True, False):
                     problem = build_problem(instance, grid, mode, symmetry=symmetry)
-                    engine = _Engine(problem, SolveLimits(), PruneConfig())
+                    engine = _Engine(problem, SolveLimits())
                     if engine.masks[1] is engine.masks[2]:
                         shared[engine.min_sq[0][1] == engine.min_sq[0][2]] += 1
                     expected = brute_force_feasible(problem)
                     seen[expected] += 1
-                    for prune in PRUNE_CONFIGS:
-                        outcome = solve(problem, prune=prune)
-                        assert outcome.status == (
-                            "feasible" if expected else "infeasible"
-                        ), f"{mode} symmetry={symmetry} {prune} disagrees"
+                    assert solve(problem).status == (
+                        "feasible" if expected else "infeasible"
+                    ), f"{mode} symmetry={symmetry} disagrees"
         assert seen[True] > 5 and seen[False] > 5, "sampled instances too one-sided"
         assert shared[True] > 20 and shared[False] > 5, f"too few shared masks: {shared}"
 
@@ -446,9 +437,9 @@ class TestTiedRadii:
                 domains = [problem.domains[cid].mask for cid in (1, 2, 3)]
                 ii, jj = np.indices(domains[0].shape)
                 thresholds = [_pair_min_sq(problem, 1, cid) for cid in (2, 3)]
-                engine = _Engine(
-                    problem, SolveLimits(max_nodes=1), PruneConfig(farthest_pair=False)
-                )
+                # circles 2-3 at threshold 0: no farthest-pair cut of a child
+                problem = dataclasses.replace(problem, min_sq={**problem.min_sq, (2, 3): 0})
+                engine = _Engine(problem, SolveLimits(max_nodes=1))
                 if engine.masks[1] is engine.masks[2]:
                     shared[thresholds[0] == thresholds[1]] += 1
                 initial = list(engine.masks)
@@ -463,7 +454,9 @@ class TestTiedRadii:
         assert shared[True] > 10 and shared[False] > 3, f"too few shared masks: {shared}"
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_equal_circles_agree_across_pruning(self, n):
+    def test_equal_circles_match_reference_search(self, n):
+        """Too many circles for enumeration: the plain depth-first search of
+        ``reference_search`` decides them, with the same counts."""
         instance = Instance.from_radii("eq", [1.0] * n)
         statuses = set()
         for size in (1.9, 2.2, 2.45, 2.8):
@@ -471,11 +464,14 @@ class TestTiedRadii:
                 grid = grid_for_instance(instance, size, size / theta)
                 for mode in ("restricted", "relaxed"):
                     problem = build_problem(instance, grid, mode)
-                    engine = _Engine(problem, SolveLimits(), PruneConfig())
+                    engine = _Engine(problem, SolveLimits())
                     assert engine.masks[2] is engine.masks[n - 1]
-                    got = {solve(problem, prune=prune).status for prune in PRUNE_CONFIGS}
-                    assert len(got) == 1, f"size {size} theta {theta} {mode}: {got}"
-                    statuses |= got
+                    outcome = solve(problem)
+                    got = (outcome.status, outcome.nodes, outcome.farthest_pair,
+                           outcome.wipeout, outcome.assignment)
+                    expected = reference_search(problem, SolveLimits().max_nodes)[0]
+                    assert got == expected, f"size {size} theta {theta} {mode}"
+                    statuses.add(outcome.status)
         assert statuses == {"feasible", "infeasible"}
 
 
@@ -517,19 +513,19 @@ class TestPackedDomains:
         )
 
     @classmethod
-    def _engine(cls, mask: np.ndarray, min_sq: Mapping, mode: str) -> _Engine:
-        """An engine whose three circles all have the domain ``mask``, set
-        up for ``_place_first``."""
-        problem = cls._problem([mask] * 3, min_sq, mode)
-        return _Engine(problem, SolveLimits(max_nodes=1), PruneConfig(farthest_pair=False))
+    def _engine(cls, mask: np.ndarray, clear: int, other: int, mode: str) -> _Engine:
+        """An engine whose three circles all have the domain ``mask``, with
+        the thresholds ``clear`` and ``other`` of circle 1 against circles 2
+        and 3, set up for ``_place_first``."""
+        min_sq = {(1, 2): clear, (1, 3): other, (2, 3): 0}
+        return _Engine(cls._problem([mask] * 3, min_sq, mode), SolveLimits(max_nodes=1))
 
     @classmethod
-    def _search(cls, masks: list[np.ndarray], min_sq: Mapping, mode: str, prune: PruneConfig,
-                clears: bool = True):
+    def _search(cls, masks: list[np.ndarray], min_sq: Mapping, mode: str, clears: bool = True):
         """Search three circles with the given domains and thresholds.  With
         ``clears`` false the forbidden patterns are empty, so only the
         box-corner test can empty a domain."""
-        engine = _Engine(cls._problem(masks, min_sq, mode), SolveLimits(), prune)
+        engine = _Engine(cls._problem(masks, min_sq, mode), SolveLimits())
         if not clears:
             engine.patterns = {threshold: (0, 0) for threshold in engine.patterns}
         return engine.run()
@@ -540,13 +536,15 @@ class TestPackedDomains:
         exactly at the offsets where ``forbidden`` does, for every offset up
         to one past the threshold's reach.
 
-        Box corner: circle 2's domain is one cell at the offset from circle
-        1's, and no pattern clears anything, so circle 2 empties exactly
-        when the box-corner test fires.  Farthest pair: circles 2 and 3 are
-        free of circle 1, and their boxes lie at the offset, either as two
-        one-cell domains (circle 3 in the run after circle 2's) or as one
-        shared two-cell domain (one run); the test cuts circle 1's only
-        child exactly when it fires, and counts it.
+        Box corner: circle 3's domain is one cell at the offset from circle
+        1's, circle 2 is free of both, and no pattern clears anything, so
+        circle 3 empties exactly when the box-corner test fires.  (Circle 2
+        at the offset would be cut by the root's farthest-pair test first.)
+        Farthest pair: circles 2 and 3 are free of circle 1, and their
+        boxes lie at the offset, either as two one-cell domains (circle 3
+        in the run after circle 2's) or as one shared two-cell domain (one
+        run); the test cuts circle 1's only child exactly when it fires, and
+        counts it.
         """
         for threshold in (0, 1, 2, 3, 5, 8, 13, 18, 50):
             m = max(forbidden_reach(threshold, mode), 0) + 1
@@ -564,9 +562,9 @@ class TestPackedDomains:
                     expected = bool(forbidden(di, dj, threshold, mode))
                     at = (m + di, m + dj)
                     outcome = self._search(
-                        [cells(centre), cells(at), full],
-                        {(1, 2): threshold, (1, 3): 0, (2, 3): 0},
-                        mode, PruneConfig(farthest_pair=False), clears=False,
+                        [cells(centre), full, cells(at)],
+                        {(1, 2): 0, (1, 3): threshold, (2, 3): 0},
+                        mode, clears=False,
                     )
                     assert outcome.wipeout == expected, ("corner", threshold, di, dj)
                     layouts = [[cells(centre), cells(at)]]
@@ -576,7 +574,7 @@ class TestPackedDomains:
                         outcome = self._search(
                             [cells((0, 0)), *pair],
                             {(1, 2): 0, (1, 3): 0, (2, 3): threshold},
-                            mode, PruneConfig(),
+                            mode,
                         )
                         assert outcome.farthest_pair == expected, (
                             "farthest", len(pair), threshold, di, dj)
@@ -594,9 +592,7 @@ class TestPackedDomains:
             # the other threshold sets the engine's reach when it is larger
             for other in thresholds:
                 mask = rng.random(shape) < 0.7
-                engine = self._engine(
-                    mask, {(1, 2): clear, (1, 3): other, (2, 3): other}, mode
-                )
+                engine = self._engine(mask, clear, other, mode)
                 wide += 2 * engine.reach + 1 > min(shape)
                 initial = list(engine.masks)
                 _assert_domain_is(engine, initial[1], mask)
@@ -634,7 +630,7 @@ class TestPackedDomains:
         threshold = st.one_of(st.just(0), st.integers(1, wide), st.integers(wide, 2 * wide))
         clear, other = data.draw(threshold), data.draw(threshold)
 
-        engine = self._engine(mask, {(1, 2): clear, (1, 3): other, (2, 3): other}, mode)
+        engine = self._engine(mask, clear, other, mode)
         if not mask.any():
             assert engine.problem.trivially_infeasible
             return
@@ -752,7 +748,7 @@ class TestStagedFarthestPair:
             problem = TestPackedDomains._problem(
                 [cell, second, mask], {(1, 2): clear_second, (1, 3): clear, (2, 3): pair_sq}, mode
             )
-            outcome = _Engine(problem, SolveLimits(max_nodes=1), PruneConfig()).run()
+            outcome = _Engine(problem, SolveLimits(max_nodes=1)).run()
             if _pair_cut((i, i, j, j), bounding_box(second), clear_second, mode):
                 expected = (0, 1, 0)  # the root's farthest-pair test
             else:
@@ -797,7 +793,7 @@ class _Stop(Exception):
         self.domains = domains
 
 
-def reference_search(problem: FeasibilityProblem, max_nodes: int, prune: PruneConfig):
+def reference_search(problem: FeasibilityProblem, max_nodes: int):
     """((status, nodes, farthest_pair, wipeout, assignment), positions,
     domains) of a plain depth-first search, with the counting rules of the
     feasibility module docstring and none of the engine's machinery: numpy
@@ -810,11 +806,10 @@ def reference_search(problem: FeasibilityProblem, max_nodes: int, prune: PruneCo
     Circles are placed in id order, each trying its candidates nearest the
     previous circle's position first (the container centre for circle 1),
     ties broken by row, then column.  A child counts one node at its start,
-    and the search stops at the node that passes ``max_nodes``.  With
-    conditional elimination a child clears circles t+1 and t+2, then takes
-    the farthest-pair test, then clears the rest: it counts under the first
-    rule that prunes it.  The last circle counts one node per candidate
-    left, or one when none is.
+    and the search stops at the node that passes ``max_nodes``.  A child
+    clears circles t+1 and t+2, then takes the farthest-pair test, then
+    clears the rest: it counts under the first rule that prunes it.  The
+    last circle counts one node per candidate left, or one when none is.
     """
     n, mode, grid = problem.instance.n, problem.mode, problem.grid
     threshold = {(a, b): _pair_min_sq(problem, a + 1, b + 1)
@@ -843,12 +838,8 @@ def reference_search(problem: FeasibilityProblem, max_nodes: int, prune: PruneCo
         cells = [(int(i), int(j)) for i, j in np.argwhere(mask)]
         return sorted(cells, key=lambda c: ((c[0] - pi) ** 2 + (c[1] - pj) ** 2, c))
 
-    def conflicts(t: int, i: int, j: int) -> bool:
-        return any(forbidden(i - pi, j - pj, threshold[u, t], mode)
-                   for u, (pi, pj) in enumerate(positions))
-
     def farthest_cut(domains: list[np.ndarray], a: int) -> bool:
-        if not prune.farthest_pair or a + 1 >= n:
+        if a + 1 >= n:
             return False
         a0, a1, a2, a3 = bounding_box(domains[a])
         b0, b1, b2, b3 = bounding_box(domains[a + 1])
@@ -861,34 +852,25 @@ def reference_search(problem: FeasibilityProblem, max_nodes: int, prune: PruneCo
     def dfs(t: int, domains: list[np.ndarray]) -> bool:
         if t == n - 1:
             cells = ordered(domains[t])
-            if not prune.conditional:
-                cells = [(i, j) for i, j in cells if not conflicts(t, i, j)]
             tick(domains, len(cells) or 1)
             if cells:
                 positions.append(cells[0])
             return bool(cells)
         for i, j in ordered(domains[t]):
             tick(domains)
-            if prune.conditional:
-                child = list(domains)
-                pruned = False
-                for k in range(t + 1, n):
-                    child[k] = domains[k] & ~forbidden(ii - i, jj - j, threshold[t, k], mode)
-                    if not child[k].any():
-                        count["wipeout"] += 1
-                        pruned = True
-                        break
-                    if k == t + 2 and farthest_cut(child, t + 1):
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-            else:
-                if conflicts(t, i, j):
-                    continue
-                child = domains
-                if farthest_cut(child, t + 1):
-                    continue
+            child = list(domains)
+            pruned = False
+            for k in range(t + 1, n):
+                child[k] = domains[k] & ~forbidden(ii - i, jj - j, threshold[t, k], mode)
+                if not child[k].any():
+                    count["wipeout"] += 1
+                    pruned = True
+                    break
+                if k == t + 2 and farthest_cut(child, t + 1):
+                    pruned = True
+                    break
+            if pruned:
+                continue
             positions.append((i, j))
             if dfs(t + 1, child):
                 return True
@@ -936,7 +918,7 @@ def runs_problems(draw) -> FeasibilityProblem:
 def _run_lengths(problem: FeasibilityProblem) -> list[int]:
     """Lengths of the runs at the root node: adjacent circles 2..n that
     share one engine domain and one threshold against circle 1."""
-    engine = _Engine(problem, SolveLimits(), PruneConfig())
+    engine = _Engine(problem, SolveLimits())
     lengths, k = [], 1
     while k < engine.n:
         stop = k + 1
@@ -959,8 +941,7 @@ class TestReferenceLoop:
     # a wrong counting order apart are a few per hundred draws, so this test
     # takes four times the profile's examples
     @settings(deadline=None, max_examples=4 * settings.default.max_examples)
-    @given(problem=runs_problems(), prune=st.sampled_from(PRUNE_CONFIGS),
-           fraction=st.floats(0.0, 1.0))
+    @given(problem=runs_problems(), fraction=st.floats(0.0, 1.0))
     # the smallest draw found on which the farthest-pair test, reading the
     # first run's box twice, differs: circle 2 alone in the first run
     @example(
@@ -969,27 +950,26 @@ class TestReferenceLoop:
             grid_for_instance(Instance.from_radii("eq3", [1.0, 1.0, 1.0]), 2.0, 0.5),
             "relaxed",
         ),
-        prune=PruneConfig(),
         fraction=1.0,
     )
-    def test_matches_reference_search(self, problem, prune, fraction):
+    def test_matches_reference_search(self, problem, fraction):
         """Status, nodes, both prune counts and the assignment, and the
         positions and domains the search ends in, at the full count (up to
         a cap) and at a node limit the fraction ``fraction`` of it."""
         if problem.trivially_infeasible:
-            outcome = solve(problem, prune=prune)
+            outcome = solve(problem)
             got = (outcome.status, outcome.nodes, outcome.farthest_pair,
                    outcome.wipeout, outcome.assignment)
-            assert got == reference_search(problem, self.CAP, prune)[0]
+            assert got == reference_search(problem, self.CAP)[0]
             return
-        full = solve(problem, SolveLimits(max_nodes=self.CAP), prune)
+        full = solve(problem, SolveLimits(max_nodes=self.CAP))
         for max_nodes in sorted({self.CAP, max(1, round(fraction * full.nodes))}):
-            engine = _Engine(problem, SolveLimits(max_nodes=max_nodes), prune)
+            engine = _Engine(problem, SolveLimits(max_nodes=max_nodes))
             outcome = engine.run()
             got = (outcome.status, outcome.nodes, outcome.farthest_pair,
                    outcome.wipeout, outcome.assignment)
-            expected, positions, domains = reference_search(problem, max_nodes, prune)
-            assert got == expected, (max_nodes, prune)
+            expected, positions, domains = reference_search(problem, max_nodes)
+            assert got == expected, max_nodes
             assert engine.positions == positions
             for domain, mask in zip(engine.masks, domains):
                 _assert_domain_is(engine, domain, mask)
@@ -1014,7 +994,7 @@ class TestReferenceLoop:
         got = (outcome.status, outcome.nodes, outcome.farthest_pair,
                outcome.wipeout, outcome.assignment)
         assert got == ("infeasible", 1, 1, 0, None)
-        assert got == reference_search(problem, self.CAP, PruneConfig())[0]
+        assert got == reference_search(problem, self.CAP)[0]
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_draws_hold_runs(self, length):
@@ -1049,121 +1029,50 @@ TRACE_GRIDS = {
     ("strip-c", 12.791385577790518): 0.05040921424670558,
     ("zimm-14", 35.110484684327254): 0.35355339059327373,
 }
-TRACE_PRUNES = {
-    "all": PruneConfig(farthest_pair=True, conditional=True),
-    "nocond": PruneConfig(farthest_pair=True, conditional=False),
-    "condonly": PruneConfig(farthest_pair=False, conditional=True),
-}
 PINNED_TRACES = (
-    ("eq-07", 2.822875655533296, "relaxed", "all", 3000, "unknown", 3001, 1230, 1719,
+    ("eq-07", 2.822875655533296, "relaxed", 3000, "unknown", 3001, 1230, 1719,
      ((67, 68), (23, 73), None, None, None, None, None),
      (1378, 101, 117, 117, 117, 117, 117)),
-    ("eq-07", 2.822875655533296, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((64, 67), (30, 39), None, None, None, None, None),
-     (1378, 2290, 4474, 4474, 4474, 4474, 4474)),
-    ("eq-07", 2.822875655533296, "relaxed", "condonly", 3000, "unknown", 3001, 0, 2772,
-     ((67, 66), (23, 55), None, None, None, None, None),
-     (1378, 79, 9, 9, 9, 9, 9)),
-    ("eq-07", 2.822875655533296, "restricted", "all", 3000, "unknown", 3001, 1983, 980,
+    ("eq-07", 2.822875655533296, "restricted", 3000, "unknown", 3001, 1983, 980,
      ((72, 66), None, None, None, None, None, None),
      (1378, 212, 252, 252, 252, 252, 252)),
-    ("eq-07", 2.822875655533296, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((64, 67), None, None, None, None, None, None),
-     (1378, 2246, 4409, 4409, 4409, 4409, 4409)),
-    ("eq-07", 2.822875655533296, "restricted", "condonly", 3000, "unknown", 3001, 0, 2712,
-     ((67, 70), (29, 44), None, None, None, None, None),
-     (1378, 37, 14, 14, 14, 14, 14)),
-    ("strip-b", 5.356197490192345, "relaxed", "all", 3000, "unknown", 3001, 2202, 440,
+    ("strip-b", 5.356197490192345, "relaxed", 3000, "unknown", 3001, 2202, 440,
      ((19, 15), (10, 8), None, None, None, None),
      (88, 48, 4, 4, 4, 4)),
-    ("strip-b", 5.356197490192345, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((17, 12), (8, 19), (6, 6), (27, 6), None, None),
-     (88, 234, 234, 234, 234, 234)),
-    ("strip-b", 5.356197490192345, "relaxed", "condonly", 3000, "unknown", 3001, 0, 1880,
-     ((17, 13), (6, 19), (27, 19), (26, 6), None, None),
-     (88, 15, 9, 8, 5, 5)),
-    ("strip-b", 5.356197490192345, "restricted", "all", 3000, "unknown", 3001, 846, 2077,
+    ("strip-b", 5.356197490192345, "restricted", 3000, "unknown", 3001, 846, 2077,
      ((25, 17), None, None, None, None, None),
      (88, 94, 94, 94, 94, 94)),
-    ("strip-b", 5.356197490192345, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((19, 12), None, None, None, None, None),
-     (88, 218, 218, 218, 218, 218)),
-    ("strip-b", 5.356197490192345, "restricted", "condonly", 3000, "unknown", 3001, 0, 2690,
-     ((19, 19), (27, 9), None, None, None, None),
-     (88, 37, 30, 30, 30, 30)),
-    ("strip-b", 5.356197490192345, "restricted", "all", 10000, "infeasible", 5398, 1669, 3608,
+    ("strip-b", 5.356197490192345, "restricted", 10000, "infeasible", 5398, 1669, 3608,
      (None, None, None, None, None, None),
      (88, 218, 218, 218, 218, 218)),
-    ("strip-b", 5.356197490192345, "restricted", "nocond", 10000, "unknown", 10001, 0, 0,
-     ((20, 13), (8, 19), None, None, None, None),
-     (88, 218, 218, 218, 218, 218)),
-    ("strip-b", 5.356197490192345, "restricted", "condonly", 10000, "unknown", 10001, 0, 8651,
-     ((26, 18), None, None, None, None, None),
-     (88, 113, 113, 113, 113, 113)),
-    ("zimm-06", 11.086517007382739, "restricted", "all", 3000, "feasible", 1243, 25, 347,
+    ("zimm-06", 11.086517007382739, "restricted", 3000, "feasible", 1243, 25, 347,
      ((124, 122), (47, 71), (115, 38), (50, 139), (159, 64), (173, 85)),
      (145, 160, 1324, 4531, 9568, 16423)),
-    ("zimm-06", 11.086517007382739, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((122, 121), None, None, None, None, None),
-     (145, 160, 1324, 4531, 9568, 16423)),
-    ("zimm-06", 11.086517007382739, "restricted", "condonly", 3000, "feasible", 1442, 0, 546,
-     ((124, 122), (47, 71), (115, 38), (50, 139), (159, 64), (173, 85)),
-     (145, 160, 1324, 4531, 9568, 16423)),
-    ("zimm-06", 11.086517007382739, "relaxed", "all", 3000, "feasible", 1461, 0, 4,
+    ("zimm-06", 11.086517007382739, "relaxed", 3000, "feasible", 1461, 0, 4,
      ((118, 124), (51, 62), (123, 41), (43, 128), (64, 163), (84, 176)),
      (145, 163, 1334, 4555, 9622, 16524)),
-    ("zimm-06", 11.086517007382739, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((118, 124), (52, 61), None, None, None, None),
-     (145, 163, 1334, 4555, 9622, 16524)),
-    ("zimm-06", 11.086517007382739, "relaxed", "condonly", 3000, "feasible", 1461, 0, 4,
-     ((118, 124), (51, 62), (123, 41), (43, 128), (64, 163), (84, 176)),
-     (145, 163, 1334, 4555, 9622, 16524)),
-    ("zimm-06", 11.060185744266253, "restricted", "all", 3000, "infeasible", 275, 20, 241,
+    ("zimm-06", 11.060185744266253, "restricted", 3000, "infeasible", 275, 20, 241,
      (None, None, None, None, None, None),
      (124, 134, 1248, 4348, 9264, 15975)),
-    ("zimm-06", 11.060185744266253, "restricted", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((128, 110), None, None, None, None, None),
-     (124, 134, 1248, 4348, 9264, 15975)),
-    ("zimm-06", 11.060185744266253, "restricted", "condonly", 3000, "infeasible", 402, 0, 368,
-     (None, None, None, None, None, None),
-     (124, 134, 1248, 4348, 9264, 15975)),
-    ("zimm-06", 11.060185744266253, "relaxed", "all", 3000, "feasible", 1441, 0, 0,
+    ("zimm-06", 11.060185744266253, "relaxed", 3000, "feasible", 1441, 0, 0,
      ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
      (124, 136, 1257, 4374, 9314, 16072)),
-    ("zimm-06", 11.060185744266253, "relaxed", "nocond", 3000, "unknown", 3001, 0, 0,
-     ((118, 122), (49, 64), (119, 39), None, None, None),
-     (124, 136, 1257, 4374, 9314, 16072)),
-    ("zimm-06", 11.060185744266253, "relaxed", "condonly", 3000, "feasible", 1441, 0, 0,
-     ((118, 122), (49, 64), (119, 39), (44, 130), (67, 163), (88, 174)),
-     (124, 136, 1257, 4374, 9314, 16072)),
-    ("strip-a", 9.239869883949108, "restricted", "all", 3000, "unknown", 3001, 680, 2313,
+    ("strip-a", 9.239869883949108, "restricted", 3000, "unknown", 3001, 680, 2313,
      ((161, 68), None, None, None, None),
      (749, 2196, 2196, 5057, 5057)),
-    ("strip-a", 9.239869883949108, "restricted", "all", 1500, "unknown", 1501, 672, 826,
+    ("strip-a", 9.239869883949108, "restricted", 1500, "unknown", 1501, 672, 826,
      ((161, 67), None, None, None, None),
      (749, 2190, 2190, 5044, 5044)),
-    ("strip-a", 9.239869883949108, "restricted", "condonly", 3000, "unknown", 3001, 0, 2933,
-     ((117, 56), None, None, None, None),
-     (749, 181, 181, 2342, 2342)),
-    ("strip-a", 9.239869883949108, "relaxed", "all", 3000, "feasible", 642, 634, 0,
+    ("strip-a", 9.239869883949108, "relaxed", 3000, "feasible", 642, 634, 0,
      ((155, 67), (84, 34), (34, 79), (25, 24), (89, 90)),
      (749, 2519, 2519, 7040, 7040)),
-    ("strip-a", 9.239869883949108, "relaxed", "condonly", 3000, "unknown", 3001, 0, 2936,
-     ((115, 57), None, None, None, None),
-     (749, 194, 194, 2637, 2637)),
-    ("strip-c", 12.791385577790518, "restricted", "all", 3000, "infeasible", 369, 353, 16,
+    ("strip-c", 12.791385577790518, "restricted", 3000, "infeasible", 369, 353, 16,
      (None, None, None, None),
      (369, 11, 11, 10607)),
-    ("strip-c", 12.791385577790518, "restricted", "condonly", 3000, "infeasible", 1754, 0, 1401,
-     (None, None, None, None),
-     (369, 11, 11, 10607)),
-    ("strip-c", 12.791385577790518, "relaxed", "all", 3000, "feasible", 1051, 360, 0,
+    ("strip-c", 12.791385577790518, "relaxed", 3000, "feasible", 1051, 360, 0,
      ((193, 67), (99, 39), (39, 89), (26, 32)),
      (369, 8, 8, 10634)),
-    ("strip-c", 12.791385577790518, "relaxed", "condonly", 3000, "feasible", 2456, 0, 1405,
-     ((193, 67), (99, 39), (39, 89), (26, 32)),
-     (369, 8, 8, 10634)),
-    ("zimm-14", 35.110484684327254, "restricted", "all", 3000, "unknown", 3001, 2491, 387,
+    ("zimm-14", 35.110484684327254, "restricted", 3000, "unknown", 3001, 2491, 387,
      ((107, 113), (54, 57), (124, 39), (36, 123), (169, 84), (71, 168),
       None, None, None, None, None, None, None, None),
      (2758, 2, 16, 3, 3, 2, 40, 454, 939, 1515, 2192, 3185, 4652, 6939)),
@@ -1183,13 +1092,13 @@ class TestPinnedSearchTrace:
         return built
 
     @pytest.mark.parametrize(
-        "trace", PINNED_TRACES, ids=lambda t: "-".join(map(str, t[:5]))
+        "trace", PINNED_TRACES, ids=lambda t: "-".join(map(str, t[:4]))
     )
     def test_engine_reproduces_recorded_search(self, problems, trace):
-        (name, size, mode, prune, max_nodes, status, nodes, farthest_pair, wipeout,
+        (name, size, mode, max_nodes, status, nodes, farthest_pair, wipeout,
          positions, left) = trace
         problem = problems[(name, size, mode)]
-        engine = _Engine(problem, SolveLimits(max_nodes=max_nodes), TRACE_PRUNES[prune])
+        engine = _Engine(problem, SolveLimits(max_nodes=max_nodes))
         outcome = engine.run()
         assert (outcome.status, outcome.nodes) == (status, nodes)
         assert (outcome.farthest_pair, outcome.wipeout) == (farthest_pair, wipeout)

@@ -9,6 +9,7 @@ verification.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -275,9 +276,38 @@ class TestResultFiles:
         assert {record["model"] for record in log} >= {"region", "restricted"}
         fields = {
             "trial", "size", "delta", "model", "outcome", "seconds", "lower",
-            "upper", "nodes", "farthest_pair", "wipeout", "sweeps", "cells",
+            "upper", "nodes", "farthest_pair", "wipeout", "reason", "sweeps",
+            "cells",
         }
         assert all(set(record) == fields for record in log)
+
+    def test_log_reason_tells_a_node_limit_from_a_timeout(self, tmp_path, monkeypatch):
+        """Each search event carries its outcome's ``reason``: None for a
+        decided search and for a region event.  The restricted searches stop
+        at a one-node budget and the relaxed ones at a spent deadline."""
+        outcomes = []
+
+        def limited_solve(problem, limits):
+            if problem.mode == "relaxed":
+                limits = dataclasses.replace(limits, time_seconds=0.0)
+            outcome = solve(problem, limits)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(driver, "solve", limited_solve)
+        instance = Instance.from_radii("eq3", [1.0, 1.0, 1.0])
+        limits = DriverLimits(time_seconds=60, restricted_nodes=1, max_perturbations=1)
+        result = run(instance, 0.01, delta0=0.08, limits=limits)
+        path = write_result(result_payload(instance, result), tmp_path / "eq3.json")
+        log = read_result(path)["log"]
+        searches = [record for record in log if record["model"] != "region"]
+        assert [record["reason"] for record in searches] == [o.reason for o in outcomes]
+        assert all(record["reason"] is None for record in log if record["model"] == "region")
+        assert all(
+            (record["reason"] is None) == (record["outcome"] != "unknown") for record in searches
+        )
+        reasons = {(record["model"], record["reason"]) for record in searches}
+        assert {("restricted", "node-limit"), ("relaxed", "timeout")} <= reasons
 
     def test_lattice_placement_survives_disk_exactly(self, tmp_path, lattice_run):
         instance, result = lattice_run
@@ -385,6 +415,15 @@ class TestSolveCommand:
             ("solve", ["--no-lb4"]),
             ("bounds", ["--no-lb4"]),
             ("bench", ["--no-lb4"]),
+            ("solve", ["--no-lb3"]),
+            ("bounds", ["--no-lb3"]),
+            ("bench", ["--no-lb3"]),
+            ("solve", ["--no-reduction"]),
+            ("bench", ["--no-reduction"]),
+            ("solve", ["--no-prune-farthest"]),
+            ("bench", ["--no-prune-farthest"]),
+            ("solve", ["--no-prune-conditional"]),
+            ("bench", ["--no-prune-conditional"]),
         ],
     )
     def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
@@ -410,13 +449,30 @@ class TestBoundsCommand:
     def test_twenty_unit_circles_lb2(self, tmp_path, capsys):
         path = tmp_path / "eq20.txt"
         path.write_text("20 " + " ".join(["1"] * 20) + "\n")
-        code = main(["bounds", str(path), "--no-lb3"])
+        code = main(["bounds", str(path)])
         captured = capsys.readouterr()
         assert code == 0
         payload = json.loads(captured.out)
         assert payload["lb2"] == pytest.approx(math.sqrt(20.0))
-        assert payload["lb3"] is None
-        assert set(payload) == {"instance", "n", "lb1", "lb2", "lb3", "chosen_lb", "ub", "timings"}
+        assert isinstance(payload["lb3"], float)
+        assert list(payload) == [
+            "instance", "n", "lb1", "lb2", "lb3", "chosen_lb", "ub", "timings"
+        ]
+        assert list(payload["timings"]) == ["lb1", "lb2", "lb3", "ub"]
+
+    def test_bounds_report_and_result_file_share_the_bound_keys(self, tmp_path, capsys):
+        """``bounds`` and a result file's ``initial_bounds`` both write
+        ``BoundReport.as_dict``: the same keys, in the same order, with the
+        same values for one instance."""
+        instance = _write_pair(tmp_path)
+        assert main(["bounds", str(instance)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        out = tmp_path / "pair.result.json"
+        assert main(["solve", str(instance), "--out", str(out)]) == 0
+        capsys.readouterr()
+        initial = read_result(out)["initial_bounds"]
+        assert list(initial) == ["lb1", "lb2", "lb3", "chosen_lb", "ub"]
+        assert initial == {key: report[key] for key in initial}
 
     def test_solver_only_flags_are_rejected(self, tmp_path, capsys):
         instance = _write_pair(tmp_path)
@@ -453,6 +509,25 @@ class TestVerifyCommand:
         old = tmp_path / "old.result.json"
         old.write_text(json.dumps(payload))
         assert read_result(old)["initial_bounds"]["lb4"] == payload["initial_bounds"]["lb4"]
+        code = main(["verify", str(instance), str(old)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("OK")
+
+    def test_result_without_log_reasons_still_verifies(self, tmp_path, capsys):
+        """A result file written before the log carried ``reason`` reads
+        and verifies as before."""
+        instance, out = tmp_path / "eq3.txt", tmp_path / "eq3.result.json"
+        instance.write_text("3 1 1 1\n")
+        assert main(["solve", str(instance), "--epsilon", "0.05", "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["log"] and all("reason" in record for record in payload["log"])
+        for record in payload["log"]:
+            del record["reason"]
+        old = tmp_path / "old.result.json"
+        old.write_text(json.dumps(payload))
+        assert read_result(old)["log"] == payload["log"]
         code = main(["verify", str(instance), str(old)])
         captured = capsys.readouterr()
         assert code == 0
