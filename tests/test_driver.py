@@ -46,6 +46,10 @@ def replay_invariants(instance, result) -> None:
                 "restricted",
                 "feasible",
             ), record
+        if record.model != "region" and record.outcome == "unknown":
+            assert record.reason in ("timeout", "node-limit"), record
+        else:
+            assert record.reason is None, record
         lower, upper = record.lower, record.upper
     assert result.lower == pytest.approx(lower)
     assert result.upper == pytest.approx(upper)

@@ -1111,6 +1111,25 @@ class TestPinnedSearchTrace:
         )
         assert outcome.assignment == expected
 
+    @pytest.mark.parametrize(
+        "trace", PINNED_TRACES, ids=lambda t: "-".join(map(str, t[:4]))
+    )
+    def test_reference_search_reproduces_recorded_search(self, problems, trace):
+        """The same traces from ``reference_search``, on grids, circle
+        counts and region-reduced domains far past the small draws of
+        ``TestReferenceLoop``."""
+        (name, size, mode, max_nodes, status, nodes, farthest_pair, wipeout,
+         positions, left) = trace
+        expected = (
+            {cid: positions[cid - 1] for cid in range(1, len(positions) + 1)}
+            if status == "feasible"
+            else None
+        )
+        got, got_positions, domains = reference_search(problems[(name, size, mode)], max_nodes)
+        assert got == (status, nodes, farthest_pair, wipeout, expected)
+        assert tuple(got_positions) == positions
+        assert tuple(int(mask.sum()) for mask in domains) == left
+
 
 class TestSolveBehaviour:
     @pytest.mark.parametrize(
