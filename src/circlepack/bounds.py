@@ -15,10 +15,13 @@ a value that provably cannot exceed the optimal container size:
 ``idle_area_triple`` gives the area of the pocket between three mutually
 tangent circles; no bound here uses it.
 
-The constructive side (``initial_upper_bound``) builds a feasible placement
-greedily and certifies it exactly, so the returned value is a true upper
-bound, not a float estimate.  The certificate checks (``_exact_pair_scale``
-and ``geometry.verify_placement``) put every center and radius on one common
+The constructive side (``initial_upper_bound``) builds a placement and
+certifies it with ``_certify_placement``: a disc placement is scaled apart
+about the origin, a strip's shelf rows are apart by construction, and the
+size steps up one float at a time until ``geometry.verify_placement``
+passes at tolerance 0.  So the returned value is a true upper bound, not a
+float estimate.  Both exact checks (``_exact_pair_scale`` and
+``verify_placement``) put every center and radius on one common
 denominator and compare integers: squared lengths scaled by its square.
 """
 
@@ -66,12 +69,15 @@ def lb1(instance: Instance) -> float:
     return radii[0] + radii[1]
 
 
-def _round_down(value: float, holds: Callable[[Fraction], bool]) -> float:
-    """``value``, stepped toward 0 one float at a time until ``holds`` is
-    true of it exactly."""
-    while not holds(Fraction(value)):
-        value = math.nextafter(value, 0.0)
-    return value
+def _step(value: float, holds: Callable[[float], bool], toward: float) -> float:
+    """``value``, stepped one float at a time toward ``toward`` until
+    ``holds`` is true of it.  Every caller starts from a float estimate a
+    few floats from the answer, so 64 failed steps are a ``RuntimeError``."""
+    for _ in range(64):
+        if holds(value):
+            return value
+        value = math.nextafter(value, toward)
+    raise RuntimeError(f"no float within 64 steps toward {toward} holds")
 
 
 def lb2(instance: Instance) -> float:
@@ -89,8 +95,8 @@ def lb2(instance: Instance) -> float:
     area = sum(Fraction(r) ** 2 for r in instance.radii)
     if instance.is_strip:
         length = Fraction(math.pi) * area / Fraction(instance.container.width)
-        return _round_down(float(length), lambda v: v <= length)
-    return _round_down(math.sqrt(area), lambda v: v * v <= area)
+        return _step(float(length), lambda v: Fraction(v) <= length, -math.inf)
+    return _step(math.sqrt(area), lambda v: Fraction(v) ** 2 <= area, -math.inf)
 
 
 def lb3(
@@ -253,88 +259,61 @@ def _exact_pair_scale(instance: Instance, centers: dict[int, tuple[float, float]
     return scale
 
 
-def _certify_disc_placement(
+def _certify_placement(
     instance: Instance, centers: dict[int, tuple[float, float]]
 ) -> tuple[float, Placement]:
-    """Repair float rounding and return an exactly verified (radius, placement)."""
+    """Return (size, placement) that passes ``verify_placement`` at tolerance 0.
+
+    A disc placement is scaled about the origin until ``_exact_pair_scale``
+    finds no overlap.  A strip placement (``_shelf_strip_centers``) needs no
+    repair: its rows are apart by construction.  A pair whose float centres
+    are less than ``1 + 1e-9`` times their float radius sum apart vertically
+    is set at least ``1e-6`` of that sum beyond tangency horizontally, and
+    any other pair is ``1e-9`` of it beyond tangency vertically.  Either
+    slack adds at least ``1e-12`` of the squared sum to the squared
+    distance, and the float error of the shelf's expressions is of order
+    ``1e-16`` of it.  The only move here is a top row's ``y``, the float
+    ``W - r``, which may lie one float above its exact value: it steps down
+    to the largest float with ``y + r <= W`` exactly, and stays ``>= r``,
+    since ``Instance`` holds ``W >= 2 * r_max``.  That step is at most one
+    float of ``W``.  A bottom-top pair whose slack it could reach has ``W``
+    within about twice its radius sum, so the pair stays apart.  Two
+    top-row circles both step, and their horizontal slack holds while ``W``
+    is below ``10^9`` times the smaller radius; past that a placement may
+    fail to verify at any size, and this raises ``RuntimeError``.
+
+    The size starts at the float reach and steps up until
+    ``verify_placement`` passes, so that is the one exact containment test.
+    """
     pts = {cid: (float(x), float(y)) for cid, (x, y) in centers.items()}
-    for _ in range(_REPAIR_ATTEMPTS):
-        scale = _exact_pair_scale(instance, pts)
-        if scale is None:
-            raise RuntimeError("coincident or near-coincident centers in constructed placement")
-        if scale == 1.0:
-            break
-        # A bare minimal scale can be cancelled by float rounding; grow by
-        # at least 1e-12 relative so one application clears all dirt.
-        scale = max(scale, 1.0 + 1e-12)
-        pts = {cid: (x * scale, y * scale) for cid, (x, y) in pts.items()}
+    if instance.is_strip:
+        width = Fraction(instance.container.width)
+        for c in instance.circles:
+            x, y = pts[c.id]
+            room = width - Fraction(c.radius)
+            pts[c.id] = (x, _step(y, lambda v: Fraction(v) <= room, -math.inf))
+        reach = max(pts[c.id][0] + c.radius for c in instance.circles)
     else:
-        raise RuntimeError("failed to certify constructed placement")
-    # A pair scale of 1 is verify_placement's own exact pair test, so no
-    # overlap is left; only containment can fail, and a larger size mends it.
-    size = max(
-        math.hypot(x, y) + c.radius
-        for c, (x, y) in ((c, pts[c.id]) for c in instance.circles)
-    )
-    for _ in range(64):
+        for _ in range(_REPAIR_ATTEMPTS):
+            scale = _exact_pair_scale(instance, pts)
+            if scale is None:
+                raise RuntimeError("coincident or near-coincident centers in constructed placement")
+            if scale == 1.0:
+                break
+            # A bare minimal scale can be cancelled by float rounding; grow
+            # by at least 1e-12 relative so one application clears all dirt.
+            scale = max(scale, 1.0 + 1e-12)
+            pts = {cid: (x * scale, y * scale) for cid, (x, y) in pts.items()}
+        else:
+            raise RuntimeError("failed to certify constructed placement")
+        reach = max(math.hypot(*pts[c.id]) + c.radius for c in instance.circles)
+
+    def fits(size: float) -> bool:
         placement = Placement(centers=pts, container_size=size)
-        if verify_placement(instance, placement, tolerance=0.0).feasible:
-            return size, placement
-        size = math.nextafter(size, math.inf)
-    raise RuntimeError("failed to certify constructed placement")
+        return verify_placement(instance, placement, tolerance=0.0).feasible
 
-
-def _certify_strip_placement(
-    instance: Instance, centers: dict[int, tuple[float, float]]
-) -> tuple[float, Placement]:
-    """Repair float rounding for a strip placement; returns (length, placement)."""
-    width = instance.container.width
-    width_exact = Fraction(width)
-    pts = {}
-    for circle in instance.circles:
-        x, y = centers[circle.id]
-        x = float(x)
-        y = float(y)
-        r = Fraction(circle.radius)
-        for _ in range(8):
-            if Fraction(y) - r >= 0:
-                break
-            y = math.nextafter(y, math.inf)
-        for _ in range(8):
-            if Fraction(y) + r <= width_exact:
-                break
-            y = math.nextafter(y, -math.inf)
-        if Fraction(y) - r < 0 or Fraction(y) + r > width_exact:
-            raise RuntimeError("circle cannot satisfy strip width exactly")
-        pts[circle.id] = (x, y)
-    for _ in range(_REPAIR_ATTEMPTS):
-        scale = _exact_pair_scale(instance, pts)
-        if scale is None:
-            raise RuntimeError("coincident or near-coincident centers in constructed placement")
-        if scale > 1.0:
-            # Stretch along the strip axis only; width stays feasible.
-            pts = {cid: (x * (1.0 + 1e-12), y) for cid, (x, y) in pts.items()}
-            shift = min(x - c.radius for c, (x, _) in ((c, pts[c.id]) for c in instance.circles))
-            if shift < 0:
-                pts = {cid: (x - shift, y) for cid, (x, y) in pts.items()}
-            continue
-        for circle in instance.circles:
-            x, y = pts[circle.id]
-            r = Fraction(circle.radius)
-            while Fraction(x) - r < 0:
-                x = math.nextafter(x, math.inf)
-            pts[circle.id] = (x, y)
-        length = max(x + c.radius for c, (x, _) in ((c, pts[c.id]) for c in instance.circles))
-        length = max(length, 2.0 * instance.max_radius)
-        placement = Placement(centers=dict(pts), container_size=length)
-        for _ in range(64):
-            report = verify_placement(instance, placement, tolerance=0.0)
-            if report.feasible:
-                return placement.container_size, placement
-            length = math.nextafter(length, math.inf)
-            placement = Placement(centers=dict(pts), container_size=length)
-        break
-    raise RuntimeError("failed to certify constructed strip placement")
+    size = _step(reach, fits, math.inf)
+    return size, Placement(centers=pts, container_size=size)
 
 
 def _pair_tangent_positions(
@@ -607,9 +586,8 @@ def _shelf_strip_centers(instance: Instance) -> dict[int, tuple[float, float]]:
             for px, py, pr in placed:
                 min_dist = pr + r
                 # Demand an explicit horizontal slack unless the pair is
-                # vertically separated with margin; exact vertical tangency
-                # cannot be repaired by stretching along the strip axis, and
-                # the slack must dominate squared-distance float dirt.
+                # vertically separated with margin; both dominate the float
+                # dirt of these expressions, so no repair follows.
                 if abs(py - y) < min_dist * (1.0 + 1e-9):
                     need = max(min_dist * min_dist - (py - y) ** 2, 0.0)
                     x = max(x, px + math.sqrt(need) + 1e-6 * min_dist)
@@ -628,37 +606,32 @@ def initial_upper_bound(
 ) -> tuple[float, Placement]:
     """Initial upper bound from a certified constructive placement.
 
-    The placement comes from greedy tangent candidates for discs, shelf
-    rows for strips, with a tangent-chain fallback, and is repaired until
-    it passes exact verification.  The returned placement always verifies
-    feasibly at the returned size, so the bound carries its certificate.
+    A disc's placement is the better of greedy tangent candidates and a
+    tangent chain, a strip's the shelf rows.  ``_certify_placement`` scales
+    a disc's apart, keeps a strip's rows, which are apart by construction,
+    and steps the size up until ``verify_placement`` passes.  So the
+    returned placement verifies at the returned size at tolerance 0, and
+    the bound carries its certificate.
 
     A disc's greedy placement is recentred, refined, and recentred again
     only when ``_refine_disc`` moved a circle: otherwise the second
     Nelder-Mead would restart from the centre it has just converged to.
-    Once ``time.perf_counter()`` reaches ``deadline``, the greedy placement
-    is certified as it is, unpolished.
+    One circle, at the origin already, is not polished, so it loads no
+    scipy.  Once ``time.perf_counter()`` reaches ``deadline``, the greedy
+    placement is certified as it is, unpolished.
     """
-    if instance.n == 1:
-        radius = instance.radii[0]
-        if instance.is_strip:
-            return _certify_strip_placement(
-                instance, {instance.circles[0].id: (radius, radius)}
-            )
-        return _certify_disc_placement(instance, {instance.circles[0].id: (0.0, 0.0)})
-
-    candidates: list[tuple[float, Placement]] = []
     if instance.is_strip:
-        candidates.append(_certify_strip_placement(instance, _shelf_strip_centers(instance)))
-    else:
-        greedy = _greedy_disc_centers(instance)
-        if deadline is None or time.perf_counter() < deadline:
-            greedy = _recenter(instance, greedy)
-            refined = _refine_disc(instance, greedy)
-            if refined != greedy:
-                greedy = _recenter(instance, refined)
-        candidates.append(_certify_disc_placement(instance, greedy))
-        candidates.append(_certify_disc_placement(instance, _chain_disc_centers(instance)))
+        return _certify_placement(instance, _shelf_strip_centers(instance))
+    greedy = _greedy_disc_centers(instance)
+    if instance.n > 1 and (deadline is None or time.perf_counter() < deadline):
+        greedy = _recenter(instance, greedy)
+        refined = _refine_disc(instance, greedy)
+        if refined != greedy:
+            greedy = _recenter(instance, refined)
+    candidates = [
+        _certify_placement(instance, greedy),
+        _certify_placement(instance, _chain_disc_centers(instance)),
+    ]
     return min(candidates, key=lambda item: item[0])
 
 

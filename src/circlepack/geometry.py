@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 from typing import Mapping, Sequence, Union
 
 Coordinate = Union[int, float, Fraction]
@@ -41,10 +40,6 @@ __all__ = [
 
 def exact(value: Coordinate) -> Fraction:
     """Convert a number to an exact Fraction (floats convert losslessly)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -149,9 +144,6 @@ class Placement:
 
     centers: Mapping[int, tuple[Coordinate, Coordinate]]
     container_size: Coordinate
-
-    def center_of(self, circle_id: int) -> tuple[Coordinate, Coordinate]:
-        return self.centers[circle_id]
 
     def as_float_centers(self) -> dict[int, tuple[float, float]]:
         return {i: (float(x), float(y)) for i, (x, y) in self.centers.items()}

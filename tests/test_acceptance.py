@@ -100,8 +100,11 @@ def test_criterion_02_six_growing_circles_to_one_percent():
 
 
 def test_criterion_03_seven_unit_circles_incumbent():
+    # eq-07's seed U (3.0000000000020006) already meets 3.03, and the run
+    # never reaches 1 %, so it spends its whole budget: the 6 s of the
+    # bench_results runs, not more
     instance = _bundled("eq-07")
-    result = tracked_run(instance, 0.01, limits=DriverLimits(time_seconds=60.0))
+    result = tracked_run(instance, 0.01, limits=DriverLimits(time_seconds=6.0))
     assert result.incumbent is not None
     report = verify_placement(instance, result.incumbent, tolerance=0.0)
     assert report.feasible

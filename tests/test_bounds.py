@@ -24,8 +24,7 @@ from scipy.stats import qmc
 import circlepack
 from circlepack.bounds import (
     BoundReport,
-    _certify_disc_placement,
-    _certify_strip_placement,
+    _certify_placement,
     _chain_disc_centers,
     _exact_pair_scale,
     _greedy_disc_centers,
@@ -33,6 +32,7 @@ from circlepack.bounds import (
     _reach_objective,
     _recenter,
     _refine_disc,
+    _shelf_strip_centers,
     compute_bounds,
     idle_area_triple,
     initial_upper_bound,
@@ -379,11 +379,20 @@ def test_upper_bound_tangent_pair_is_exactly_two():
     assert verify_placement(instance, placement, tolerance=0.0).feasible
 
 
-def test_upper_bound_single_circle():
-    value, placement = initial_upper_bound(Instance.from_radii("s", [5]))
-    assert value == 5.0
-    assert placement is not None
-    assert placement.centers[1] == (0.0, 0.0)
+@pytest.mark.parametrize("radius", [5.0, 0.1, math.pi])
+@pytest.mark.parametrize("room", [None, 0.0, 0.7], ids=["disc", "tight-strip", "strip"])
+def test_upper_bound_single_circle(radius, room):
+    """One circle takes the general path: a disc as large as the circle,
+    centred, or a strip (``room`` is its width beyond the diameter) as
+    long as the diameter, with the circle in its corner."""
+    container = None if room is None else StripContainer(width=2.0 * radius + room)
+    instance = Instance.from_radii("s", [radius], container)
+    value, placement = initial_upper_bound(instance)
+    if room is None:
+        assert (value, placement.centers[1]) == (radius, (0.0, 0.0))
+    else:
+        assert (value, placement.centers[1]) == (2.0 * radius, (radius, radius))
+    assert verify_placement(instance, placement, tolerance=0.0).feasible
 
 
 def test_upper_bound_two_circle_chain_exact():
@@ -496,8 +505,8 @@ def _reference_initial_upper_bound(instance):
     centred = _recenter(instance, _greedy_disc_centers(instance))
     refined = _refine_disc(instance, centred)
     candidates = [
-        _certify_disc_placement(instance, _recenter(instance, refined)),
-        _certify_disc_placement(instance, _chain_disc_centers(instance)),
+        _certify_placement(instance, _recenter(instance, refined)),
+        _certify_placement(instance, _chain_disc_centers(instance)),
     ]
     return min(candidates, key=lambda item: item[0]), refined != centred
 
@@ -559,7 +568,7 @@ def test_passed_deadline_certifies_the_greedy_placement(monkeypatch):
         raise AssertionError("polished past the deadline")
 
     instance = read_instance(INSTANCE_DIR / "zimm-20.json").instance
-    greedy = _certify_disc_placement(instance, _greedy_disc_centers(instance))
+    greedy = _certify_placement(instance, _greedy_disc_centers(instance))
     monkeypatch.setattr(circlepack.bounds, "_recenter", unreachable)
     monkeypatch.setattr(circlepack.bounds, "_refine_disc", unreachable)
     value, placement = initial_upper_bound(instance, deadline=time.perf_counter())
@@ -671,17 +680,55 @@ def test_exact_pair_scale_matches_rational_reference(radii, data):
 
 def test_exact_pair_scale_none_when_the_ratio_overflows():
     # distinct centers 1e-163 apart: the worst ratio, about 4e326, has no
-    # float, so no float factor exists and the certifiers refuse the layout
+    # float, so no float factor exists and the certifier refuses the layout
     centers = {1: (0.0, 0.0), 2: (0.0, 1.0089e-163)}
     disc = Instance.from_radii("p", [1.0, 1.0])
     assert _exact_pair_scale(disc, centers) is None
     with pytest.raises(RuntimeError, match="near-coincident"):
-        _certify_disc_placement(disc, centers)
+        _certify_placement(disc, centers)
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [{1: (1.0, 1.0), 2: (1.0 + 1.0089e-163, 1.0)}, {1: (1.0, 1.0), 2: (2.5, 1.0)}],
+    ids=["near-coincident", "overlapping"],
+)
+def test_overlapping_strip_layout_raises(centers):
+    """Nothing moves a strip's circles apart: an overlap fails
+    verification at every size, and the certifier refuses the layout."""
     strip = Instance.from_radii("p", [1.0, 1.0], StripContainer(2.0))
-    centers = {1: (1.0, 1.0), 2: (1.0 + 1.0089e-163, 1.0)}
-    assert _exact_pair_scale(strip, centers) is None
-    with pytest.raises(RuntimeError, match="near-coincident"):
-        _certify_strip_placement(strip, centers)
+    with pytest.raises(RuntimeError):
+        _certify_placement(strip, centers)
+
+
+@st.composite
+def _long_mantissa_strips(draw):
+    """Strips of up to 10 circles whose radii use every bit of the
+    mantissa, a few of them equal, and widths from exactly ``2 * r_max``
+    up to a million times it."""
+    mantissa = st.integers(2**52 + 1, 2**53 - 1)
+    pool = draw(
+        st.lists(st.builds(math.ldexp, mantissa, st.integers(-55, -50)), min_size=1, max_size=4)
+    )
+    radii = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    widest = 2.0 * max(radii)
+    room = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6 * widest)))
+    return Instance.from_radii("h", radii, StripContainer(width=widest + room))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_long_mantissa_strips())
+def test_shelf_rows_are_apart_by_construction(strip):
+    """The shelf leaves no exact overlap, so the certifier does no pair
+    repair; stepping a top row down to its exact wall moves a ``y`` by at
+    most one float and keeps every pair apart, so only the length grows."""
+    centers = _shelf_strip_centers(strip)
+    assert _exact_pair_scale(strip, centers) == 1.0
+    _, placement = _certify_placement(strip, centers)
+    assert verify_placement(strip, placement, tolerance=0.0).feasible
+    for cid, (x, y) in placement.centers.items():
+        assert x == centers[cid][0]
+        assert y in (centers[cid][1], math.nextafter(centers[cid][1], 0.0))
 
 
 def test_exact_pair_scale_tangent_and_overlapping_pairs():

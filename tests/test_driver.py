@@ -232,13 +232,22 @@ class TestSafeguards:
         assert result.lower == result.bounds.lb3 == max(result.bounds.lb1, result.bounds.lb2)
         replay_invariants(instance, result)
 
-    def test_zero_budget_run_skips_the_seed_polish(self):
-        """A fresh process, so that nothing has loaded scipy: with no time
-        left the seed placement is certified unpolished, so the run never
-        imports scipy, and it returns within 0.2 s (about 0.01 s on a 2-CPU
-        host; polishing zimm-20 cold takes about 0.4 s, most of it the
-        import of ``scipy.optimize``)."""
+    @pytest.mark.parametrize(
+        "name, seconds, status",
+        [("zimm-20", 0.0, "TimeLimit"), ("one-circle", 60.0, "EpsOptimal")],
+    )
+    def test_unpolished_seed_run_loads_no_scipy(self, name, seconds, status, tmp_path):
+        """A fresh process, so that nothing has loaded scipy.  With no time
+        left the seed placement is certified unpolished; one circle has
+        nothing to polish even with time left.  So neither run imports
+        scipy, and each returns within 0.2 s (about 0.01 s on a 2-CPU host;
+        polishing zimm-20 cold takes about 0.4 s, most of it the import of
+        ``scipy.optimize``)."""
         root = Path(__file__).resolve().parents[1]
+        path = root / f"src/circlepack/data/instances/{name}.json"
+        if name == "one-circle":
+            path = tmp_path / "one.txt"
+            path.write_text("1 2.5\n")
         code = (
             "import json, sys, time\n"
             "from circlepack.driver import DriverLimits, run\n"
@@ -246,14 +255,14 @@ class TestSafeguards:
             "from circlepack.geometry import verify_placement\n"
             "instance = read_instance(sys.argv[1]).instance\n"
             "start = time.perf_counter()\n"
-            "result = run(instance, 0.01, limits=DriverLimits(time_seconds=0.0))\n"
+            "result = run(instance, 0.01, limits=DriverLimits(time_seconds=float(sys.argv[2])))\n"
             "seconds = time.perf_counter() - start\n"
             "print(json.dumps({'status': result.status, 'seconds': seconds,\n"
             "    'verified': verify_placement(instance, result.incumbent, tolerance=0.0).feasible,\n"
             "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code, str(root / "src/circlepack/data/instances/zimm-20.json")],
+            [sys.executable, "-c", code, str(path), str(seconds)],
             cwd=root / "src",
             capture_output=True,
             text=True,
@@ -261,7 +270,7 @@ class TestSafeguards:
             timeout=60,
         )
         report = json.loads(out.stdout)
-        assert report["status"] == "TimeLimit"
+        assert report["status"] == status
         assert report["verified"]
         assert report["scipy"] == []
         assert report["seconds"] < 0.2
