@@ -19,7 +19,6 @@ from .geometry import (
     Placement,
     StripContainer,
     VerificationReport,
-    trivial_bounds,
     verify_placement,
 )
 from .bounds import (
@@ -33,7 +32,6 @@ from .bounds import (
     load_best_known,
 )
 from .grid import (
-    CandidateSet,
     Grid,
     build_grid,
     build_strip_grid,
@@ -51,7 +49,6 @@ from .reduction import (
 )
 from .feasibility import (
     FeasibilityProblem,
-    SolveLimits,
     SolveOutcome,
     assignment_to_placement,
     build_problem,
@@ -84,9 +81,7 @@ __all__ = [
     "Placement",
     "VerificationReport",
     "verify_placement",
-    "trivial_bounds",
     "Grid",
-    "CandidateSet",
     "build_grid",
     "build_strip_grid",
     "candidates",
@@ -107,7 +102,6 @@ __all__ = [
     "compute_bounds",
     "load_best_known",
     "FeasibilityProblem",
-    "SolveLimits",
     "SolveOutcome",
     "build_problem",
     "solve",

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Instance, Placement, common_denominator, trivial_bounds, verify_placement
+from .geometry import Instance, Placement, common_denominator, verify_placement
 from .grid import build_grid
 from .reduction import region_feasible
 
@@ -102,15 +102,16 @@ def lb2(instance: Instance) -> float:
 def lb3(
     instance: Instance,
     *,
-    upper_seed: float | None = None,
+    upper: float,
     deadline: float | None = None,
 ) -> float:
     """Lower bound from bisection on the region-elimination test.
 
-    Searches for the largest container size at which the conservative region
-    test (``region_feasible``) already certifies infeasibility, at cell
-    spacing 0.45 * the smallest radius, to 1e-3 relative to ``max(lb1,
-    lb2)``.  Sizes where the test passes prove nothing and shrink the search
+    Searches below ``upper``, a known upper bound such as the seed ``U``,
+    for the largest container size at which the conservative region test
+    (``region_feasible``) already certifies infeasibility, at cell spacing
+    0.45 * the smallest radius, to 1e-3 relative to ``max(lb1, lb2)``.
+    Sizes where the test passes prove nothing and shrink the search
     interval from above; only certified-empty sizes raise the returned
     bound, so the result is always valid.  Once ``time.perf_counter()``
     reaches ``deadline`` no further size is probed, and the bound certified
@@ -149,7 +150,7 @@ def lb3(
     base = max(lb1(instance), lb2(instance))
     delta_r = 0.45 * instance.min_radius
     tolerance = 1e-3 * base
-    high = trivial_bounds(instance)[1] if upper_seed is None else upper_seed
+    high = upper
     answers: dict[float, bool] = {}
 
     def out_of_time() -> bool:
@@ -265,33 +266,13 @@ def _certify_placement(
     """Return (size, placement) that passes ``verify_placement`` at tolerance 0.
 
     A disc placement is scaled about the origin until ``_exact_pair_scale``
-    finds no overlap.  A strip placement (``_shelf_strip_centers``) needs no
-    repair: its rows are apart by construction.  A pair whose float centres
-    are less than ``1 + 1e-9`` times their float radius sum apart vertically
-    is set at least ``1e-6`` of that sum beyond tangency horizontally, and
-    any other pair is ``1e-9`` of it beyond tangency vertically.  Either
-    slack adds at least ``1e-12`` of the squared sum to the squared
-    distance, and the float error of the shelf's expressions is of order
-    ``1e-16`` of it.  The only move here is a top row's ``y``, the float
-    ``W - r``, which may lie one float above its exact value: it steps down
-    to the largest float with ``y + r <= W`` exactly, and stays ``>= r``,
-    since ``Instance`` holds ``W >= 2 * r_max``.  That step is at most one
-    float of ``W``.  A bottom-top pair whose slack it could reach has ``W``
-    within about twice its radius sum, so the pair stays apart.  Two
-    top-row circles both step, and their horizontal slack holds while ``W``
-    is below ``10^9`` times the smaller radius; past that a placement may
-    fail to verify at any size, and this raises ``RuntimeError``.
-
+    finds no overlap.  A strip placement (``_shelf_strip_centers``) is kept
+    as it is: its rows are apart and inside the width by construction.
     The size starts at the float reach and steps up until
     ``verify_placement`` passes, so that is the one exact containment test.
     """
     pts = {cid: (float(x), float(y)) for cid, (x, y) in centers.items()}
     if instance.is_strip:
-        width = Fraction(instance.container.width)
-        for c in instance.circles:
-            x, y = pts[c.id]
-            room = width - Fraction(c.radius)
-            pts[c.id] = (x, _step(y, lambda v: Fraction(v) <= room, -math.inf))
         reach = max(pts[c.id][0] + c.radius for c in instance.circles)
     else:
         for _ in range(_REPAIR_ATTEMPTS):
@@ -571,15 +552,29 @@ def _chain_disc_centers(instance: Instance) -> dict[int, tuple[float, float]]:
 
 
 def _shelf_strip_centers(instance: Instance) -> dict[int, tuple[float, float]]:
-    """Greedy left-to-right shelf placement alternating bottom and top rows."""
+    """Greedy left-to-right shelf placement alternating bottom and top rows.
+
+    Every circle lies inside the width and apart from the others by
+    construction, so no repair follows.  A top row's ``y`` is the largest
+    float with ``y + r <= W`` exactly: the float ``W - r`` may lie one float
+    above its exact value, and ``_step`` moves it down.  It stays ``>= r``,
+    since ``Instance`` holds ``W >= 2 * r_max``.  Each pair's slack is then
+    computed on these final ``y``s.  A pair whose float centres are less
+    than ``1 + 1e-9`` times their float radius sum apart vertically is set
+    at least ``1e-6`` of that sum beyond tangency horizontally, and any
+    other pair is ``1e-9`` of it beyond tangency vertically.  Either slack
+    adds at least ``1e-12`` of the squared sum to the squared distance, and
+    the float error of the shelf's expressions is of order ``1e-16`` of it.
+    """
     width = instance.container.width
+    wall = Fraction(width)
     out: dict[int, tuple[float, float]] = {}
     placed: list[tuple[float, float, float]] = []
     for circle in instance.circles:
         r = circle.radius
-        y_options = [r]
-        if width - r > r:
-            y_options.append(width - r)
+        room = wall - Fraction(r)
+        top = _step(width - r, lambda v: Fraction(v) <= room, -math.inf)
+        y_options = [r, top] if top > r else [r]
         best = None
         for y in y_options:
             x = r
@@ -587,7 +582,7 @@ def _shelf_strip_centers(instance: Instance) -> dict[int, tuple[float, float]]:
                 min_dist = pr + r
                 # Demand an explicit horizontal slack unless the pair is
                 # vertically separated with margin; both dominate the float
-                # dirt of these expressions, so no repair follows.
+                # error of these expressions (docstring).
                 if abs(py - y) < min_dist * (1.0 + 1e-9):
                     need = max(min_dist * min_dist - (py - y) ** 2, 0.0)
                     x = max(x, px + math.sqrt(need) + 1e-6 * min_dist)
@@ -691,7 +686,7 @@ def compute_bounds(
     timings["ub"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    value3 = lb3(instance, upper_seed=ub, deadline=deadline)
+    value3 = lb3(instance, upper=ub, deadline=deadline)
     timings["lb3"] = time.perf_counter() - start
 
     chosen = max(value1, value2, value3)

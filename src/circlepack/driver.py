@@ -26,7 +26,6 @@ from typing import Literal
 
 from .bounds import BoundReport, compute_bounds
 from .feasibility import (
-    SolveLimits,
     SolveOutcome,
     assignment_to_placement,
     build_problem,
@@ -260,11 +259,6 @@ def run(
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() >= deadline
 
-    def remaining_time() -> float | None:
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.perf_counter())
-
     while status is None:
         if state.upper - state.lower <= epsilon * state.upper:
             status = "EpsOptimal"
@@ -306,14 +300,11 @@ def run(
                 break
             record("region", "nonempty", seconds, regions=regions)
 
-            solve_limits = SolveLimits(
-                time_seconds=remaining_time(),
-                max_nodes=min(limits.solve_nodes, limits.restricted_nodes),
-            )
             start = time.perf_counter()
             restricted = solve(
                 build_problem(instance, grid, "restricted", regions),
-                limits=solve_limits,
+                max_nodes=min(limits.solve_nodes, limits.restricted_nodes),
+                deadline=deadline,
             )
             seconds = time.perf_counter() - start
             if restricted.is_feasible:
@@ -329,13 +320,11 @@ def run(
                 status = "TimeLimit"
                 break
 
-            solve_limits = SolveLimits(
-                time_seconds=remaining_time(), max_nodes=limits.solve_nodes
-            )
             start = time.perf_counter()
             relaxed = solve(
                 build_problem(instance, grid, "relaxed", regions),
-                limits=solve_limits,
+                max_nodes=limits.solve_nodes,
+                deadline=deadline,
             )
             seconds = time.perf_counter() - start
             if relaxed.is_infeasible:

@@ -21,6 +21,11 @@ assignment exists, so it changes the search effort, never the outcome.
 The equivalent binary linear program can be written to an LP file by the
 milp module.
 
+A problem's domains are the bool arrays of ``grid.candidates``, one per
+circle id.  ``solve`` takes a node limit and an absolute
+``time.perf_counter()`` deadline, the clock and the form of every other
+phase's deadline, so the driver hands its own deadline through unchanged.
+
 A search node is kept cheap without changing any search decision.  Each
 domain is held as two Python ints in the packed layout of ``grid`` (whose
 module docstring has the guard-column soundness argument): a row-major
@@ -112,7 +117,6 @@ import numpy as np
 
 from .geometry import Instance, Placement
 from .grid import (
-    CandidateSet,
     Grid,
     Mode,
     _forbidden_widths,
@@ -127,7 +131,6 @@ from .reduction import RegionMap
 
 __all__ = [
     "FeasibilityProblem",
-    "SolveLimits",
     "SolveOutcome",
     "assignment_to_placement",
     "build_problem",
@@ -136,20 +139,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SolveLimits:
-    """Search budget: wall-clock seconds (None = unlimited) and node count."""
-
-    time_seconds: float | None = None
-    max_nodes: int = 100_000_000
-
-
-@dataclass(frozen=True)
 class FeasibilityProblem:
-    """One grid feasibility question: domains, radii and pair thresholds.
+    """One grid feasibility question: domains and pair thresholds.
 
-    ``domains`` maps circle id to its candidate bitmap (lattice points in
-    restricted mode, cells in relaxed mode) after intersecting the mode's
-    candidate set with optional reduced regions and symmetry restrictions.
+    ``domains`` maps circle id to its candidates, a bool array indexed
+    [i, j] of lattice points (restricted mode) or cells (relaxed mode): the
+    mode's ``grid.candidates`` intersected with optional reduced regions
+    and symmetry restrictions.
     ``min_sq`` holds the exact pairwise thresholds of ``grid.forbidden``
     (``grid.min_sq_steps``) keyed by (low id, high id).
     """
@@ -157,14 +153,13 @@ class FeasibilityProblem:
     instance: Instance
     grid: Grid
     mode: Mode
-    domains: Mapping[int, CandidateSet]
-    radii: tuple[float, ...]
+    domains: Mapping[int, np.ndarray]
     min_sq: Mapping[tuple[int, int], int]
 
     @property
     def trivially_infeasible(self) -> bool:
         """True when some circle has no candidate at all."""
-        return any(not d.mask.any() for d in self.domains.values())
+        return any(not d.any() for d in self.domains.values())
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,6 @@ class SolveOutcome:
     assignment: dict[int, tuple[int, int]] | None = None
     reason: str | None = None
     nodes: int = 0
-    elapsed: float = 0.0
     farthest_pair: int = 0
     wipeout: int = 0
 
@@ -284,16 +278,16 @@ def build_problem(
     else:
         shape = (grid.cells_x, grid.cells_y)
     sym = _symmetry_restrictions(grid, mode, instance.n, shape) if symmetry else {}
-    domains: dict[int, CandidateSet] = {}
+    domains: dict[int, np.ndarray] = {}
     steps: dict = {}
     for circle in instance.circles:
-        mask = candidates(grid, circle, instance.container, mode, steps).mask
+        mask = candidates(grid, circle, instance.container, mode, steps)
         if reduced_regions is not None:
             region = reduced_regions.masks[circle.id]
             mask &= region if mode == "relaxed" else _points_from_cells(region, shape)
         if circle.id in sym:
             mask &= sym[circle.id]
-        domains[circle.id] = CandidateSet(circle.id, mode, mask)
+        domains[circle.id] = mask
 
     table = pair_thresholds(instance.radii, grid.delta_exact)
     min_sq = {
@@ -304,7 +298,6 @@ def build_problem(
         grid=grid,
         mode=mode,
         domains=domains,
-        radii=instance.radii,
         min_sq=min_sq,
     )
 
@@ -323,7 +316,7 @@ def _assignment_satisfies(
         if cid not in assignment:
             return False
         i, j = assignment[cid]
-        mask = problem.domains[cid].mask
+        mask = problem.domains[cid]
         if not (0 <= i < mask.shape[0] and 0 <= j < mask.shape[1] and mask[i, j]):
             return False
     for (a, b), threshold in problem.min_sq.items():
@@ -350,9 +343,12 @@ class _LimitHit(Exception):
 class _Engine:
     """Single-threaded depth-first search over one feasibility problem."""
 
-    def __init__(self, problem: FeasibilityProblem, limits: SolveLimits) -> None:
+    def __init__(
+        self, problem: FeasibilityProblem, max_nodes: int, deadline: float | None
+    ) -> None:
         self.problem = problem
-        self.limits = limits
+        self.max_nodes = max_nodes
+        self.deadline = deadline
         self.mode = problem.mode
         grid = problem.grid
         n = problem.instance.n
@@ -360,7 +356,7 @@ class _Engine:
         # strides and forbidden patterns of the packed domains (module
         # docstring); one pattern pair per distinct pair threshold
         thresholds = set(problem.min_sq.values())
-        nx, ny = problem.domains[1].mask.shape
+        nx, ny = problem.domains[1].shape
         self.reach, self.row_stride, rows = _packed_patterns(thresholds, self.mode, ny)
         if nx == ny:
             self.col_stride, cols = self.row_stride, rows
@@ -375,7 +371,7 @@ class _Engine:
         # share one tuple
         self.masks: list[_Domain] = []
         for cid in range(1, n + 1):
-            mask = problem.domains[cid].mask
+            mask = problem.domains[cid]
             rows = _pack(mask, self.row_stride)
             if self.masks and self.masks[-1][0] == rows:
                 self.masks.append(self.masks[-1])
@@ -412,11 +408,6 @@ class _Engine:
         self.farthest_prunes = 0
         self.wipeouts = 0
         self._next_check = 0
-        self._deadline = (
-            time.monotonic() + limits.time_seconds
-            if limits.time_seconds is not None
-            else None
-        )
 
     def _box(self, rows: int, cols: int) -> _Box | None:
         """Exact bounding box of a packed domain, None when it is empty."""
@@ -435,10 +426,10 @@ class _Engine:
         deadline is read every 256 nodes, the node limit at the node that
         passes it: ``_next_check`` is the next node count that needs a
         look."""
-        max_nodes = self.limits.max_nodes
+        max_nodes = self.max_nodes
         if self.nodes > max_nodes:
             raise _LimitHit("node-limit")
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _LimitHit("timeout")
         self._next_check = min(self.nodes + 256, max_nodes + 1)
 
@@ -626,13 +617,11 @@ class _Engine:
         return False
 
     def run(self) -> SolveOutcome:
-        start = time.monotonic()
         status, reason, assignment = "infeasible", None, None
         try:
             found = not self._farthest_prunes(0) and self._dfs(0)
         except _LimitHit as hit:
             found, status, reason = False, "unknown", hit.reason
-        elapsed = time.monotonic() - start
         if found:
             status = "feasible"
             assignment = {t + 1: self.positions[t] for t in range(self.n)}
@@ -643,7 +632,6 @@ class _Engine:
             assignment=assignment,
             reason=reason,
             nodes=self.nodes,
-            elapsed=elapsed,
             farthest_pair=self.farthest_prunes,
             wipeout=self.wipeouts,
         )
@@ -651,13 +639,17 @@ class _Engine:
 
 def solve(
     problem: FeasibilityProblem,
-    limits: SolveLimits | None = None,
+    *,
+    max_nodes: int = 100_000_000,
+    deadline: float | None = None,
 ) -> SolveOutcome:
     """Decide one feasibility problem within the given budget.
 
-    The search is deterministic: the same problem and limits give the same
-    status, assignment and node count.
+    The search stops as unknown past ``max_nodes`` nodes, or once
+    ``time.perf_counter()`` passes ``deadline`` (None: no deadline).  It is
+    deterministic: the same problem and node limit give the same status,
+    assignment and node count when no deadline stops it.
     """
     if problem.trivially_infeasible:
-        return SolveOutcome(status="infeasible", nodes=0, elapsed=0.0)
-    return _Engine(problem, limits or SolveLimits()).run()
+        return SolveOutcome(status="infeasible")
+    return _Engine(problem, max_nodes, deadline).run()

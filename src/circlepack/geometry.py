@@ -32,15 +32,8 @@ __all__ = [
     "Placement",
     "VerificationReport",
     "verify_placement",
-    "trivial_bounds",
-    "exact",
     "common_denominator",
 ]
-
-
-def exact(value: Coordinate) -> Fraction:
-    """Convert a number to an exact Fraction (floats convert losslessly)."""
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -180,7 +173,7 @@ def common_denominator(values: Sequence[Coordinate]) -> tuple[int, list[int]]:
                 raise ValueError(f"not a finite number: {value}")
             ratios.append(value.as_integer_ratio())
         else:
-            q = exact(value)
+            q = Fraction(value)
             ratios.append((q.numerator, q.denominator))
     den = math.lcm(*(q for _, q in ratios))
     return den, [p * (den // q) for p, q in ratios]
@@ -258,21 +251,3 @@ def verify_placement(
         violating_pairs=tuple(violating),
         tolerance=tolerance,
     )
-
-
-def trivial_bounds(instance: Instance) -> tuple[float, float]:
-    """Cheap sound seeds (lower, upper) for the container size.
-
-    Disc: lower = sum of the two largest radii (one circle: its radius);
-    upper = sum of all radii (all circles in a row across a diameter).
-    Strip: lower = diameter of the largest circle; upper = sum of all
-    diameters (all circles in a single row along the strip).
-    """
-    radii = instance.radii
-    if instance.is_strip:
-        lower = 2.0 * radii[0]
-        upper = float(sum(2.0 * r for r in radii))
-    else:
-        lower = radii[0] + radii[1] if len(radii) > 1 else radii[0]
-        upper = float(sum(radii))
-    return (lower, max(upper, lower))

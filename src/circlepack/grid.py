@@ -20,8 +20,10 @@ inequality for both families of tests:
   between farthest cell corners and containment by nearest cell point; if no
   assignment passes, no continuous packing exists (lower-bound certificates).
 
-``candidates`` is the one containment test, for points and cells alike:
-on a disc it compares the squared steps from the centre to each point or
+``candidates`` is the one containment test, for points and cells alike.
+It returns a bool array indexed [i, j], of the lattice points
+(restricted) or cells (relaxed) that hold the circle's centre.  On a disc
+it compares the squared steps from the centre to each point or
 to each cell's nearest point (``_steps``) with one exact limit, and the
 annulus regions of ``reduction`` read the same step arrays.
 
@@ -68,13 +70,12 @@ from typing import Collection, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .geometry import Circle, CircleContainer, ContainerKind, StripContainer, exact
+from .geometry import Circle, CircleContainer, ContainerKind, StripContainer
 
 Mode = Literal["restricted", "relaxed"]
 
 __all__ = [
     "Grid",
-    "CandidateSet",
     "build_grid",
     "build_strip_grid",
     "candidates",
@@ -190,15 +191,15 @@ def _spacing(
         raise ValueError(f"container size must be > 0, got {extent}")
     if not delta_target > 0:
         raise ValueError(f"delta_target must be > 0, got {delta_target}")
-    if 2 * exact(delta_target) ** 2 >= exact(min_radius) ** 2:
+    if 2 * Fraction(delta_target) ** 2 >= Fraction(min_radius) ** 2:
         raise ValueError(
             "cell diagonal %.17g*sqrt(2) must be below the smallest radius %.17g"
             % (delta_target, min_radius)
         )
-    extent_exact = exact(extent)
-    theta = _snap_ceil(extent_exact / exact(delta_target))
+    extent_exact = Fraction(extent)
+    theta = _snap_ceil(extent_exact / Fraction(delta_target))
     delta_exact = extent_exact / theta
-    while 2 * delta_exact**2 >= exact(min_radius) ** 2:
+    while 2 * delta_exact**2 >= Fraction(min_radius) ** 2:
         theta += 1
         delta_exact = extent_exact / theta
     return theta, delta_exact
@@ -213,7 +214,7 @@ def build_grid(size: float, delta_target: float, min_radius: float) -> Grid:
         size=float(size),
         delta=float(delta_exact),
         theta=theta,
-        size_exact=exact(size),
+        size_exact=Fraction(size),
         delta_exact=delta_exact,
     )
 
@@ -231,13 +232,13 @@ def build_strip_grid(
     if not width > 0:
         raise ValueError(f"strip width must be > 0, got {width}")
     theta, delta_exact = _spacing(length, delta_target, min_radius)
-    width_exact = exact(width)
+    width_exact = Fraction(width)
     return Grid(
         kind="strip",
         size=float(length),
         delta=float(delta_exact),
         theta=theta,
-        size_exact=exact(length),
+        size_exact=Fraction(length),
         delta_exact=delta_exact,
         width=float(width),
         width_exact=width_exact,
@@ -254,30 +255,13 @@ def grid_for_instance(instance, size: float, delta_target: float) -> Grid:
     return build_grid(size, delta_target, instance.min_radius)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Bitmap of admissible lattice points (restricted) or cells (relaxed)."""
-
-    circle_id: int
-    mode: Mode
-    mask: np.ndarray  # bool, shape (nx, ny), indexed [i, j]
-
-    @property
-    def count(self) -> int:
-        return int(self.mask.sum())
-
-    def indices(self) -> Iterable[tuple[int, int]]:
-        for i, j in zip(*np.nonzero(self.mask)):
-            yield (int(i), int(j))
-
-
 def _check_container(grid: Grid, container: ContainerKind) -> None:
     if isinstance(container, CircleContainer) and grid.kind != "circle":
         raise ValueError("grid was built for a strip but container is a disc")
     if isinstance(container, StripContainer):
         if grid.kind != "strip":
             raise ValueError("grid was built for a disc but container is a strip")
-        if exact(container.width) != grid.width_exact:
+        if Fraction(container.width) != grid.width_exact:
             raise ValueError("grid width does not match container width")
 
 
@@ -310,9 +294,10 @@ def candidates(
     container: ContainerKind,
     mode: Mode,
     steps: dict | None = None,
-) -> CandidateSet:
+) -> np.ndarray:
     """Lattice points (restricted) or cells (relaxed) that hold a centre at
-    which the circle lies inside the container.
+    which the circle lies inside the container, as a bool array of shape
+    (points_x, points_y) or (cells_x, cells_y), indexed [i, j].
 
     Disc: the point, or the cell's nearest point to the centre, lies within
     size - r, closed (a centre at exact tangency is a valid packing, so
@@ -339,18 +324,18 @@ def candidates(
         d, e = grid.delta_exact.as_integer_ratio()
         room = (a * q - p * b) * e
         if room < 0:
-            return CandidateSet(circle.id, mode, np.zeros(shape, dtype=bool))
+            return np.zeros(shape, dtype=bool)
         limit = room * room // (b * q * d) ** 2
-        return CandidateSet(circle.id, mode, _steps(grid, mode, False, steps) <= limit)
+        return _steps(grid, mode, False, steps) <= limit
 
-    r = exact(circle.radius)
+    r = Fraction(circle.radius)
     mask = np.zeros(shape, dtype=bool)
     if 2 * r <= grid.size_exact and 2 * r <= grid.width_exact:
         lo = math.ceil(r / grid.delta_exact) - (mode == "relaxed")
         hi_x = math.floor((grid.size_exact - r) / grid.delta_exact)
         hi_y = math.floor((grid.width_exact - r) / grid.delta_exact)
         mask[lo : hi_x + 1, lo : hi_y + 1] = True
-    return CandidateSet(circle.id, mode, mask)
+    return mask
 
 
 def _ceil_square(num: int, den: int) -> int:
@@ -360,11 +345,11 @@ def _ceil_square(num: int, den: int) -> int:
 
 def min_sq_steps(r_sum: float | Fraction, delta: float | Fraction) -> int:
     """Exact pair threshold ceil((r_sum / delta)^2), in squared lattice steps."""
-    return _ceil_square(*(exact(r_sum) / exact(delta)).as_integer_ratio())
+    return _ceil_square(*(Fraction(r_sum) / Fraction(delta)).as_integer_ratio())
 
 
 def pair_thresholds(radii: Sequence[float], delta: Fraction) -> list[list[int]]:
-    """``min_sq_steps(exact(r_a) + exact(r_b), delta)`` of every pair of
+    """``min_sq_steps(Fraction(r_a) + Fraction(r_b), delta)`` of every pair of
     positions a != b in ``radii``, as a symmetric table with 0 on the
     diagonal.
 

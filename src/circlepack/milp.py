@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .feasibility import FeasibilityProblem
 from .grid import Mode, separation_frontier
 
@@ -71,9 +73,9 @@ def build_encoding(problem: FeasibilityProblem) -> BinaryEncoding:
     for cid in range(1, problem.instance.n + 1):
         x_bits[cid] = tuple(f"xb_{cid}_{b}" for b in range(width))
         y_bits[cid] = tuple(f"yb_{cid}_{b}" for b in range(width))
+        ii, jj = np.nonzero(problem.domains[cid])
         selectors[cid] = tuple(
-            (f"sel_{cid}_{i}_{j}", i, j)
-            for i, j in problem.domains[cid].indices()
+            (f"sel_{cid}_{i}_{j}", i, j) for i, j in zip(ii.tolist(), jj.tolist())
         )
 
     frontier_selectors: dict[tuple[int, int], tuple[tuple[str, int, int], ...]] = {}

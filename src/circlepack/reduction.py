@@ -157,7 +157,7 @@ def annulus_region(
     # With delta = d/e, a length x/den is x*e / (den*d) cell steps.
     d, e = grid.delta_exact.as_integer_ratio()
     inner_limit = _ceil_square(inner * e, den * d)
-    contained = candidates(grid, circle, CircleContainer(), "relaxed", steps).mask
+    contained = candidates(grid, circle, CircleContainer(), "relaxed", steps)
     return contained & (_steps(grid, "relaxed", True, steps) >= inner_limit)
 
 
@@ -213,7 +213,7 @@ def build_region_map(
         mask = built.get((circle.radius, ref))
         if mask is None:
             if instance.is_strip:
-                mask = candidates(grid, circle, instance.container, "relaxed").mask
+                mask = candidates(grid, circle, instance.container, "relaxed")
             else:
                 mask = annulus_region(circle, size, ref, grid, steps)
             mask.setflags(write=False)

@@ -9,6 +9,7 @@ CIRCLEPACK_EXTENDED=1.
 from __future__ import annotations
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ import circlepack
 from circlepack.bounds import idle_area_triple
 from circlepack.driver import DriverLimits, run
 from circlepack.feasibility import (
-    SolveLimits,
     assignment_to_placement,
     build_problem,
     solve,
@@ -273,7 +273,7 @@ def test_criterion_07_restriction_soundness(bench_results):
         size = result.bounds.ub * 1.10
         grid = grid_for_instance(instance, size, instance.min_radius / 3.0)
         problem = build_problem(instance, grid, "restricted")
-        outcome = solve(problem, SolveLimits(time_seconds=10.0, max_nodes=2_000_000))
+        outcome = solve(problem, max_nodes=2_000_000, deadline=time.perf_counter() + 10.0)
         if outcome.status != "feasible":
             # A coarse lattice may genuinely lack a packing even above the
             # optimum (the restriction only converges as spacing shrinks).

@@ -43,7 +43,7 @@ from circlepack.bounds import (
     load_best_known,
 )
 from circlepack.files import read_instance
-from circlepack.geometry import Instance, StripContainer, trivial_bounds, verify_placement
+from circlepack.geometry import Instance, StripContainer, verify_placement
 from circlepack.grid import grid_for_instance, pair_thresholds
 from circlepack.reduction import build_region_map, region_feasible
 
@@ -246,32 +246,43 @@ def test_lb2_is_the_certified_floor_on_drawn_instance(radii, strip):
 # ---------------------------------------------------------------------------
 
 
+def _one_row(instance) -> float:
+    """An upper bound that needs no search: every circle in one row, the
+    sum of the radii across a disc, of the diameters along a strip."""
+    total = float(sum(instance.radii))
+    return 2.0 * total if instance.is_strip else total
+
+
 def test_lb3_two_circle_pair_is_tight():
-    assert lb3(Instance.from_radii("p", [3, 4])) == pytest.approx(7.0)
+    instance = Instance.from_radii("p", [3, 4])
+    assert lb3(instance, upper=_one_row(instance)) == pytest.approx(7.0)
 
 
 def test_lb3_single_circle():
-    assert lb3(Instance.from_radii("s", [5])) == pytest.approx(5.0)
+    instance = Instance.from_radii("s", [5])
+    assert lb3(instance, upper=_one_row(instance)) == pytest.approx(5.0)
 
 
 def test_lb3_unit_triple_at_least_pair_bound():
-    value = lb3(Instance.from_radii("t", [1, 1, 1]))
+    instance = Instance.from_radii("t", [1, 1, 1])
+    value = lb3(instance, upper=_one_row(instance))
     optimum = 1.0 + 2.0 / math.sqrt(3.0)
     assert 2.0 - 1e-12 <= value <= optimum + 1e-9
 
 
 def test_lb3_stays_below_best_known_for_benchmark_seed():
-    value = lb3(Instance.from_radii("zimm-05", [1, 2, 3, 4, 5]))
+    instance = Instance.from_radii("zimm-05", [1, 2, 3, 4, 5])
+    value = lb3(instance, upper=_one_row(instance))
     assert 9.0 - 1e-12 <= value <= 9.001 + 1e-9
 
 
-def _reference_lb3(instance, *, upper_seed=None, probe=region_feasible):
+def _reference_lb3(instance, *, upper, probe=region_feasible):
     """``lb3`` as a plain bisection that probes every midpoint with
     ``probe``: the oracle that ``lb3`` must match bit for bit."""
     base = max(lb1(instance), lb2(instance))
     delta_r = 0.45 * instance.min_radius
     tolerance = 1e-3 * base
-    high = trivial_bounds(instance)[1] if upper_seed is None else upper_seed
+    high = upper
     certified = base
     while high - certified > tolerance:
         mid = 0.5 * (certified + high)
@@ -342,7 +353,7 @@ def test_region_test_is_not_monotone_across_lattices():
     assert region_feasible(instance, floor, delta_r)
     assert grid_for_instance(instance, refuted, delta_r).theta == 22
     assert not region_feasible(instance, refuted, delta_r)
-    value = lb3(instance, upper_seed=CROSS_LATTICE_UB)
+    value = lb3(instance, upper=CROSS_LATTICE_UB)
     assert repr(value) == repr(5.067056141259062)
     assert value > max(lb1(instance), lb2(instance))
 
@@ -584,11 +595,11 @@ def test_passed_deadline_certifies_the_greedy_placement(monkeypatch):
 @pytest.mark.parametrize("name", sorted(PINNED_UPPER_BOUNDS))
 def test_lb3_is_the_bisection_on_bundled_instance(name):
     """Bit for bit, below the pinned seed ``U`` (as ``compute_bounds`` runs
-    it) and below the trivial upper bound."""
+    it) and below the one-row upper bound."""
     instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
-    for upper_seed in (PINNED_UPPER_BOUNDS[name][0], None):
-        value = lb3(instance, upper_seed=upper_seed)
-        assert repr(value) == repr(_reference_lb3(instance, upper_seed=upper_seed))
+    for upper in (PINNED_UPPER_BOUNDS[name][0], _one_row(instance)):
+        value = lb3(instance, upper=upper)
+        assert repr(value) == repr(_reference_lb3(instance, upper=upper))
 
 
 @settings(deadline=None)
@@ -600,15 +611,15 @@ def test_lb3_is_the_bisection_on_bundled_instance(name):
 )
 def test_lb3_is_the_bisection_on_drawn_instance(large, small, strip, seed):
     """Discs and strips (``strip`` is the width beyond the largest
-    diameter), below a drawn seed ``U`` or the trivial upper bound.  A few
+    diameter), below a drawn seed ``U`` or the one-row upper bound.  A few
     large circles with small ones, like ``CROSS_LATTICE_RADII``, are where
     the region test lifts a disc's bound and ``lb3`` bisects."""
     radii = large + small
     container = None if strip is None else StripContainer(width=2.0 * max(radii) + strip)
     instance = Instance.from_radii("h", radii, container)
-    upper_seed = None if seed is None else seed * max(lb1(instance), lb2(instance))
-    value = lb3(instance, upper_seed=upper_seed)
-    assert repr(value) == repr(_reference_lb3(instance, upper_seed=upper_seed))
+    upper = _one_row(instance) if seed is None else seed * max(lb1(instance), lb2(instance))
+    value = lb3(instance, upper=upper)
+    assert repr(value) == repr(_reference_lb3(instance, upper=upper))
 
 
 @pytest.mark.parametrize("name, probes", [("eq-20", 3), ("zimm-05", 1), ("strip-c", None)])
@@ -617,12 +628,12 @@ def test_lb3_probe_counts(name, probes, monkeypatch):
     not lifted (eq-20's path crosses 3 lattices, zimm-05's one); a strip
     probes what the bisection probes."""
     instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
-    upper_seed = PINNED_UPPER_BOUNDS[name][0]
+    upper = PINNED_UPPER_BOUNDS[name][0]
     reference: list[float] = []
-    _reference_lb3(instance, upper_seed=upper_seed, probe=_recording(reference))
+    _reference_lb3(instance, upper=upper, probe=_recording(reference))
     sizes: list[float] = []
     monkeypatch.setattr(circlepack.bounds, "region_feasible", _recording(sizes))
-    lb3(instance, upper_seed=upper_seed)
+    lb3(instance, upper=upper)
     if probes is None:
         assert sizes == reference
     else:
@@ -636,7 +647,7 @@ def test_lb3_probes_nothing_past_the_deadline(monkeypatch):
     monkeypatch.setattr(circlepack.bounds, "region_feasible", _recording(sizes))
     for name in ("zimm-10", "strip-c"):
         instance = read_instance(INSTANCE_DIR / f"{name}.json").instance
-        value = lb3(instance, deadline=time.perf_counter())
+        value = lb3(instance, upper=PINNED_UPPER_BOUNDS[name][0], deadline=time.perf_counter())
         assert value == max(lb1(instance), lb2(instance))
     assert sizes == []
 
@@ -705,30 +716,29 @@ def test_overlapping_strip_layout_raises(centers):
 def _long_mantissa_strips(draw):
     """Strips of up to 10 circles whose radii use every bit of the
     mantissa, a few of them equal, and widths from exactly ``2 * r_max``
-    up to a million times it."""
+    up to ``10^13`` times it, spread evenly over the decades."""
     mantissa = st.integers(2**52 + 1, 2**53 - 1)
     pool = draw(
         st.lists(st.builds(math.ldexp, mantissa, st.integers(-55, -50)), min_size=1, max_size=4)
     )
     radii = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
     widest = 2.0 * max(radii)
-    room = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6 * widest)))
+    decades = st.floats(-3.0, 13.0).map(lambda e: 10.0**e)
+    room = widest * draw(st.one_of(st.just(0.0), decades))
     return Instance.from_radii("h", radii, StripContainer(width=widest + room))
 
 
 @settings(deadline=None, max_examples=200)
 @given(_long_mantissa_strips())
 def test_shelf_rows_are_apart_by_construction(strip):
-    """The shelf leaves no exact overlap, so the certifier does no pair
-    repair; stepping a top row down to its exact wall moves a ``y`` by at
-    most one float and keeps every pair apart, so only the length grows."""
+    """The shelf leaves no exact overlap and puts every circle inside the
+    width, so the certifier moves no centre and only the length grows,
+    also where the width is ``10^13`` times the largest diameter."""
     centers = _shelf_strip_centers(strip)
     assert _exact_pair_scale(strip, centers) == 1.0
     _, placement = _certify_placement(strip, centers)
     assert verify_placement(strip, placement, tolerance=0.0).feasible
-    for cid, (x, y) in placement.centers.items():
-        assert x == centers[cid][0]
-        assert y in (centers[cid][1], math.nextafter(centers[cid][1], 0.0))
+    assert placement.centers == centers
 
 
 def test_exact_pair_scale_tangent_and_overlapping_pairs():

@@ -15,13 +15,15 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from circlepack import bounds
+from circlepack import bounds, driver
 from circlepack.driver import DriverLimits, bisection_budget, run
+from circlepack.feasibility import solve
 from circlepack.geometry import Instance, StripContainer, verify_placement
 
 from test_bounds import _recording
@@ -219,6 +221,34 @@ class TestSafeguards:
         assert result.upper == result.bounds.ub
         assert result.incumbent is result.bounds.ub_placement
         replay_invariants(instance, result)
+
+    @pytest.mark.parametrize("seconds", [60.0, None])
+    def test_every_search_gets_the_run_deadline(self, seconds, monkeypatch):
+        """Each search receives the run's own absolute deadline, the one
+        object, set from the run's start: within ``seconds`` of the clock
+        read before and after the run.  With no budget it receives None."""
+        deadlines = []
+
+        def recording_solve(problem, *, max_nodes, deadline):
+            deadlines.append(deadline)
+            return solve(problem, max_nodes=max_nodes, deadline=deadline)
+
+        monkeypatch.setattr(driver, "solve", recording_solve)
+        instance = Instance.from_radii("eq-03", [1.0] * 3)
+        limits = DriverLimits(
+            time_seconds=seconds, solve_nodes=200, restricted_nodes=50, refine_cap=1,
+            max_perturbations=0,
+        )
+        before = time.perf_counter()
+        result = run(instance, 0.003, limits=limits)
+        after = time.perf_counter()
+        assert len(deadlines) >= 2
+        assert len(deadlines) == sum(record.model != "region" for record in result.log)
+        if seconds is None:
+            assert all(deadline is None for deadline in deadlines)
+        else:
+            assert all(deadline is deadlines[0] for deadline in deadlines)
+            assert before + seconds <= deadlines[0] <= after + seconds
 
     def test_passed_deadline_stops_the_seed_lower_bound(self, monkeypatch):
         """The driver's deadline reaches ``lb3``: with no time left it

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
@@ -23,16 +25,14 @@ from hypothesis import strategies as st
 import circlepack
 from circlepack.feasibility import (
     FeasibilityProblem,
-    SolveLimits,
     _Engine,
     assignment_to_placement,
     build_problem,
     solve,
 )
 from circlepack.files import read_instance
-from circlepack.geometry import Instance, StripContainer, exact, verify_placement
+from circlepack.geometry import Instance, StripContainer, verify_placement
 from circlepack.grid import (
-    CandidateSet,
     _forbidden_widths,
     _pack,
     _unpack,
@@ -43,6 +43,9 @@ from circlepack.grid import (
     separation_frontier,
 )
 from circlepack.reduction import build_region_map, propagate
+
+# solve's default node limit, which the engine takes as an argument
+MAX_NODES = solve.__kwdefaults__["max_nodes"]
 
 
 def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -62,7 +65,7 @@ def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
 def _pair_min_sq(problem: FeasibilityProblem, a: int, b: int) -> int:
     """Independent threshold: ceil(((r_a + r_b) / delta)^2), exactly."""
     grid = problem.grid
-    r_sum = exact(problem.radii[a - 1]) + exact(problem.radii[b - 1])
+    r_sum = Fraction(problem.instance.radii[a - 1]) + Fraction(problem.instance.radii[b - 1])
     ratio = r_sum / grid.delta_exact
     return math.ceil(ratio * ratio)
 
@@ -81,7 +84,7 @@ def brute_force_feasible(problem: FeasibilityProblem) -> bool:
     """Ground truth by enumerating every assignment of <= 3 circles."""
     n = problem.instance.n
     assert n <= 3, "oracle only covers up to three circles"
-    pts = [np.argwhere(problem.domains[cid].mask) for cid in range(1, n + 1)]
+    pts = [np.argwhere(problem.domains[cid]) for cid in range(1, n + 1)]
     if any(len(p) == 0 for p in pts):
         return False
     if n == 1:
@@ -225,8 +228,8 @@ class TestBuildProblem:
         instance = Instance.from_radii("one", [2.0])
         grid = grid_for_instance(instance, 2.0, 0.5)
         problem = build_problem(instance, grid, "restricted")
-        assert problem.domains[1].count == 1
-        assert problem.domains[1].mask[grid.theta, grid.theta]
+        assert int(problem.domains[1].sum()) == 1
+        assert problem.domains[1][grid.theta, grid.theta]
 
     def test_three_circle_example_domains_nonempty(self):
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
@@ -235,7 +238,7 @@ class TestBuildProblem:
             problem = build_problem(instance, grid, mode)
             assert not problem.trivially_infeasible
             for cid in (1, 2, 3):
-                assert problem.domains[cid].count > 0
+                assert int(problem.domains[cid].sum()) > 0
 
     def test_oversized_circle_flags_trivially_infeasible(self):
         instance = Instance.from_radii("big", [3.0, 1.0])
@@ -262,20 +265,20 @@ class TestBuildProblem:
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
         grid = grid_for_instance(instance, 1.8, 0.3)
         problem = build_problem(instance, grid, "restricted")
-        for i, j in problem.domains[1].indices():
+        for i, j in np.argwhere(problem.domains[1]):
             assert i >= grid.theta and j >= grid.theta
-        assert all(j >= i for i, j in problem.domains[2].indices())
+        assert all(j >= i for i, j in np.argwhere(problem.domains[2]))
         free = build_problem(instance, grid, "restricted", symmetry=False)
         for cid in (1, 2, 3):
-            assert free.domains[cid].count >= problem.domains[cid].count
+            assert int(free.domains[cid].sum()) >= int(problem.domains[cid].sum())
 
     def test_strip_symmetry_restricts_x_only_in_restricted_mode(self):
         instance = Instance.from_radii("s", [1.0, 0.8], StripContainer(2.5))
         grid = grid_for_instance(instance, 6.0, 0.25)
         problem = build_problem(instance, grid, "restricted")
         half = (grid.theta + 1) // 2
-        assert all(i >= half for i, _ in problem.domains[1].indices())
-        js = {j for _, j in problem.domains[1].indices()}
+        assert all(i >= half for i, _ in np.argwhere(problem.domains[1]))
+        js = {j for _, j in np.argwhere(problem.domains[1])}
         assert len(js) > 1  # no lattice-level width restriction
 
     def test_reduced_regions_shrink_domains(self):
@@ -286,8 +289,8 @@ class TestBuildProblem:
         plain = build_problem(instance, grid, "restricted")
         cut = build_problem(instance, grid, "restricted", regions)
         for cid in (1, 2, 3):
-            assert cut.domains[cid].count <= plain.domains[cid].count
-            assert not (cut.domains[cid].mask & ~plain.domains[cid].mask).any()
+            assert int(cut.domains[cid].sum()) <= int(plain.domains[cid].sum())
+            assert not (cut.domains[cid] & ~plain.domains[cid]).any()
 
 
 # --------------------------------------------------------------------------
@@ -376,14 +379,14 @@ class TestSolveAgainstOracle:
                 ia, ja = outcome.assignment[a]
                 ib, jb = outcome.assignment[b]
                 assert not forbidden(ia - ib, ja - jb, min_sq, "restricted")
-                r_sum = exact(instance.radii[a - 1]) + exact(instance.radii[b - 1])
+                r_sum = Fraction(instance.radii[a - 1]) + Fraction(instance.radii[b - 1])
                 assert min_sq_steps(r_sum, grid.delta_exact) == min_sq
                 frontier = separation_frontier(min_sq, "restricted")
                 assert any(
                     abs(ia - ib) >= u1 and abs(ja - jb) >= u2 for u1, u2 in frontier
                 )
             for cid, (i, j) in outcome.assignment.items():
-                assert problem.domains[cid].mask[i, j]
+                assert problem.domains[cid][i, j]
             placement = assignment_to_placement(grid, outcome.assignment)
             assert verify_placement(instance, placement, tolerance=0).feasible
         assert checked > 3
@@ -413,7 +416,7 @@ class TestTiedRadii:
             for mode in ("restricted", "relaxed"):
                 for symmetry in (True, False):
                     problem = build_problem(instance, grid, mode, symmetry=symmetry)
-                    engine = _Engine(problem, SolveLimits())
+                    engine = _Engine(problem, MAX_NODES, None)
                     if engine.masks[1] is engine.masks[2]:
                         shared[engine.min_sq[0][1] == engine.min_sq[0][2]] += 1
                     expected = brute_force_feasible(problem)
@@ -434,12 +437,12 @@ class TestTiedRadii:
                 problem = build_problem(instance, grid, mode, symmetry=False)
                 if problem.trivially_infeasible:
                     continue  # solve rejects it before any search
-                domains = [problem.domains[cid].mask for cid in (1, 2, 3)]
+                domains = [problem.domains[cid] for cid in (1, 2, 3)]
                 ii, jj = np.indices(domains[0].shape)
                 thresholds = [_pair_min_sq(problem, 1, cid) for cid in (2, 3)]
                 # circles 2-3 at threshold 0: no farthest-pair cut of a child
                 problem = dataclasses.replace(problem, min_sq={**problem.min_sq, (2, 3): 0})
-                engine = _Engine(problem, SolveLimits(max_nodes=1))
+                engine = _Engine(problem, 1, None)
                 if engine.masks[1] is engine.masks[2]:
                     shared[thresholds[0] == thresholds[1]] += 1
                 initial = list(engine.masks)
@@ -464,12 +467,12 @@ class TestTiedRadii:
                 grid = grid_for_instance(instance, size, size / theta)
                 for mode in ("restricted", "relaxed"):
                     problem = build_problem(instance, grid, mode)
-                    engine = _Engine(problem, SolveLimits())
+                    engine = _Engine(problem, MAX_NODES, None)
                     assert engine.masks[2] is engine.masks[n - 1]
                     outcome = solve(problem)
                     got = (outcome.status, outcome.nodes, outcome.farthest_pair,
                            outcome.wipeout, outcome.assignment)
-                    expected = reference_search(problem, SolveLimits().max_nodes)[0]
+                    expected = reference_search(problem, MAX_NODES)[0]
                     assert got == expected, f"size {size} theta {theta} {mode}"
                     statuses.add(outcome.status)
         assert statuses == {"feasible", "infeasible"}
@@ -507,8 +510,7 @@ class TestPackedDomains:
             instance=instance,
             grid=grid_for_instance(instance, 4.0, 0.5),
             mode=mode,
-            domains={cid: CandidateSet(cid, mode, mask) for cid, mask in enumerate(masks, 1)},
-            radii=instance.radii,
+            domains=dict(enumerate(masks, 1)),
             min_sq=min_sq,
         )
 
@@ -518,14 +520,14 @@ class TestPackedDomains:
         the thresholds ``clear`` and ``other`` of circle 1 against circles 2
         and 3, set up for ``_place_first``."""
         min_sq = {(1, 2): clear, (1, 3): other, (2, 3): 0}
-        return _Engine(cls._problem([mask] * 3, min_sq, mode), SolveLimits(max_nodes=1))
+        return _Engine(cls._problem([mask] * 3, min_sq, mode), 1, None)
 
     @classmethod
     def _search(cls, masks: list[np.ndarray], min_sq: Mapping, mode: str, clears: bool = True):
         """Search three circles with the given domains and thresholds.  With
         ``clears`` false the forbidden patterns are empty, so only the
         box-corner test can empty a domain."""
-        engine = _Engine(cls._problem(masks, min_sq, mode), SolveLimits())
+        engine = _Engine(cls._problem(masks, min_sq, mode), MAX_NODES, None)
         if not clears:
             engine.patterns = {threshold: (0, 0) for threshold in engine.patterns}
         return engine.run()
@@ -748,7 +750,7 @@ class TestStagedFarthestPair:
             problem = TestPackedDomains._problem(
                 [cell, second, mask], {(1, 2): clear_second, (1, 3): clear, (2, 3): pair_sq}, mode
             )
-            outcome = _Engine(problem, SolveLimits(max_nodes=1)).run()
+            outcome = _Engine(problem, 1, None).run()
             if _pair_cut((i, i, j, j), bounding_box(second), clear_second, mode):
                 expected = (0, 1, 0)  # the root's farthest-pair test
             else:
@@ -814,7 +816,7 @@ def reference_search(problem: FeasibilityProblem, max_nodes: int):
     n, mode, grid = problem.instance.n, problem.mode, problem.grid
     threshold = {(a, b): _pair_min_sq(problem, a + 1, b + 1)
                  for a in range(n) for b in range(a + 1, n)}
-    start = [problem.domains[cid].mask for cid in range(1, n + 1)]
+    start = [problem.domains[cid] for cid in range(1, n + 1)]
     if not all(mask.any() for mask in start):
         return ("infeasible", 0, 0, 0, None), [None] * n, start
     if grid.kind == "circle":
@@ -823,7 +825,7 @@ def reference_search(problem: FeasibilityProblem, max_nodes: int):
         ref = (grid.theta / 2.0, float(grid.width_exact / (2 * grid.delta_exact)))
     if mode == "relaxed":
         ref = (ref[0] - 0.5, ref[1] - 0.5)
-    shape = problem.domains[1].mask.shape
+    shape = problem.domains[1].shape
     ii, jj = np.indices(shape)
     count = {"nodes": 0, "farthest_pair": 0, "wipeout": 0}
     positions: list[tuple[int, int]] = []
@@ -918,7 +920,7 @@ def runs_problems(draw) -> FeasibilityProblem:
 def _run_lengths(problem: FeasibilityProblem) -> list[int]:
     """Lengths of the runs at the root node: adjacent circles 2..n that
     share one engine domain and one threshold against circle 1."""
-    engine = _Engine(problem, SolveLimits())
+    engine = _Engine(problem, MAX_NODES, None)
     lengths, k = [], 1
     while k < engine.n:
         stop = k + 1
@@ -962,9 +964,9 @@ class TestReferenceLoop:
                    outcome.wipeout, outcome.assignment)
             assert got == reference_search(problem, self.CAP)[0]
             return
-        full = solve(problem, SolveLimits(max_nodes=self.CAP))
+        full = solve(problem, max_nodes=self.CAP)
         for max_nodes in sorted({self.CAP, max(1, round(fraction * full.nodes))}):
-            engine = _Engine(problem, SolveLimits(max_nodes=max_nodes))
+            engine = _Engine(problem, max_nodes, None)
             outcome = engine.run()
             got = (outcome.status, outcome.nodes, outcome.farthest_pair,
                    outcome.wipeout, outcome.assignment)
@@ -986,9 +988,9 @@ class TestReferenceLoop:
         cells = {1: (8, 8), 2: (8, 14), 3: (10, 14), 4: (8, 10)}
         domains = {}
         for cid, cell in cells.items():
-            mask = np.zeros_like(problem.domains[cid].mask)
+            mask = np.zeros_like(problem.domains[cid])
             mask[cell] = True
-            domains[cid] = CandidateSet(cid, mode, mask)
+            domains[cid] = mask
         problem = dataclasses.replace(problem, domains=domains)
         outcome = solve(problem)
         got = (outcome.status, outcome.nodes, outcome.farthest_pair,
@@ -1098,7 +1100,7 @@ class TestPinnedSearchTrace:
         (name, size, mode, max_nodes, status, nodes, farthest_pair, wipeout,
          positions, left) = trace
         problem = problems[(name, size, mode)]
-        engine = _Engine(problem, SolveLimits(max_nodes=max_nodes))
+        engine = _Engine(problem, max_nodes, None)
         outcome = engine.run()
         assert (outcome.status, outcome.nodes) == (status, nodes)
         assert (outcome.farthest_pair, outcome.wipeout) == (farthest_pair, wipeout)
@@ -1155,7 +1157,7 @@ class TestSolveBehaviour:
         grid = grid_for_instance(instance, 1.8, 0.1)
         problem = build_problem(instance, grid, "restricted")
         max_nodes = 1
-        outcome = solve(problem, limits=SolveLimits(max_nodes=max_nodes))
+        outcome = solve(problem, max_nodes=max_nodes)
         assert outcome.is_unknown
         assert outcome.reason == "node-limit"
         assert outcome.nodes <= max_nodes + 1
@@ -1164,7 +1166,7 @@ class TestSolveBehaviour:
         instance = Instance.from_radii("fig", [1.0, 0.75, 0.5])
         grid = grid_for_instance(instance, 1.8, 0.1)
         problem = build_problem(instance, grid, "restricted")
-        outcome = solve(problem, limits=SolveLimits(time_seconds=0.0))
+        outcome = solve(problem, deadline=time.perf_counter())
         assert outcome.is_unknown
         assert outcome.reason == "timeout"
 

@@ -9,11 +9,11 @@ verification.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circlepack import driver
+from circlepack import cli, driver
 from circlepack.cli import main
 from circlepack.driver import DriverLimits, run
 from circlepack.feasibility import solve
@@ -287,10 +287,10 @@ class TestResultFiles:
         at a one-node budget and the relaxed ones at a spent deadline."""
         outcomes = []
 
-        def limited_solve(problem, limits):
+        def limited_solve(problem, *, max_nodes, deadline):
             if problem.mode == "relaxed":
-                limits = dataclasses.replace(limits, time_seconds=0.0)
-            outcome = solve(problem, limits)
+                deadline = time.perf_counter()
+            outcome = solve(problem, max_nodes=max_nodes, deadline=deadline)
             outcomes.append(outcome)
             return outcome
 
@@ -650,7 +650,15 @@ class TestBenchCommand:
         )
         return suite
 
-    def test_rows_and_audit_pass(self, suite, tmp_path, capsys):
+    def test_rows_and_audit_pass(self, suite, tmp_path, capsys, monkeypatch):
+        """Each row's ``seconds`` is its run's own ``elapsed``."""
+        results = []
+
+        def recorded_run(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", recorded_run)
         out = tmp_path / "bench.json"
         code = main(
             ["bench", str(suite), "--epsilon", "0.01", "--time-limit", "60", "--out", str(out)]
@@ -659,6 +667,7 @@ class TestBenchCommand:
         assert code == 0
         rows = json.loads(out.read_text())["rows"]
         assert [row["name"] for row in rows] == ["tiny-pair", "tiny-solo", "tiny-strip"]
+        assert [row["seconds"] for row in rows] == [result.elapsed for result in results]
         strip_row = rows[2]
         assert strip_row["kind"] == "strip" and strip_row["width"] == 2.0
         for row in rows:

@@ -1,4 +1,4 @@
-"""Tests for instance types, the exact placement verifier, and trivial bounds."""
+"""Tests for instance types and the exact placement verifier."""
 
 import math
 from fractions import Fraction
@@ -14,7 +14,6 @@ from circlepack.geometry import (
     Placement,
     StripContainer,
     VerificationReport,
-    trivial_bounds,
     verify_placement,
 )
 
@@ -111,14 +110,6 @@ def test_instance_validation():
     inst = Instance.from_radii("ok", [0.5, 2, 1], CircleContainer())
     assert inst.radii == (2, 1, 0.5)
     assert [c.id for c in inst.circles] == [1, 2, 3]
-
-
-def test_trivial_bounds_examples():
-    assert trivial_bounds(disc_instance("z2", [3, 4])) == (7, 7)
-    assert trivial_bounds(disc_instance("z5", [1, 2, 3, 4, 5])) == (9, 15)
-    assert trivial_bounds(disc_instance("one", [5])) == (5, 5)
-    strip = Instance.from_radii("s", [2, 1], StripContainer(width=4))
-    assert trivial_bounds(strip) == (4, 6)
 
 
 @given(

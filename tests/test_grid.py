@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlepack.geometry import Circle, CircleContainer, StripContainer, exact
+from circlepack.geometry import Circle, CircleContainer, StripContainer
 from circlepack.grid import (
     _forbidden_widths,
     build_grid,
@@ -23,6 +23,11 @@ from circlepack.grid import (
 )
 
 DISC = CircleContainer()
+
+
+def cells(mask: np.ndarray) -> set[tuple[int, int]]:
+    """The (i, j) indices of a candidate array's True entries."""
+    return {(int(i), int(j)) for i, j in np.argwhere(mask)}
 
 
 def test_build_grid_snaps_exact_divisions():
@@ -67,7 +72,7 @@ def brute_candidates(grid, radius, mode):
     A point is the degenerate box [x, x] x [y, y].  Disc: the box's point
     nearest the origin, the origin clamped into it, lies within size - r.
     Strip: the box meets the inset rectangle [r, L - r] x [r, W - r]."""
-    r = exact(radius)
+    r = Fraction(radius)
     if mode == "restricted":
         shape = (grid.points_x, grid.points_y)
     else:
@@ -102,7 +107,7 @@ def test_restricted_disc_example():
     """R=2, delta=1, r=1: exactly the center and its 4 axis neighbours."""
     grid = build_grid(2.0, 1.0, 1.5)
     cand = candidates(grid, Circle(1, 1.0), DISC, "restricted")
-    got = set(cand.indices())
+    got = cells(cand)
     assert got == brute_candidates(grid, 1.0, "restricted")
     assert got == {(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}
 
@@ -116,15 +121,15 @@ def test_full_size_circle(mode, want):
     four cells that touch it."""
     grid = build_grid(2.0, 1.0, 1.5)
     cand = candidates(grid, Circle(1, 2.0), DISC, mode)
-    assert set(cand.indices()) == want == brute_candidates(grid, 2.0, mode)
+    assert cells(cand) == want == brute_candidates(grid, 2.0, mode)
 
 
 @pytest.mark.parametrize("mode", ["restricted", "relaxed"])
 def test_oversized_circle_empty(mode):
     grid = build_grid(2.0, 1.0, 1.5)
     cand = candidates(grid, Circle(1, 2.5), DISC, mode)
-    assert cand.count == 0
-    assert cand.mask.shape == (
+    assert not cand.any()
+    assert cand.shape == (
         (grid.points_x, grid.points_y) if mode == "restricted" else (grid.cells_x, grid.cells_y)
     )
 
@@ -133,7 +138,7 @@ def test_restricted_strip_interior():
     """L=W=4, delta=1, r=1: inset square [1,3]x[1,3] -> 3x3 lattice points."""
     grid = build_strip_grid(4.0, 4.0, 1.0, 1.5)
     cand = candidates(grid, Circle(1, 1.0), StripContainer(4.0), "restricted")
-    got = set(cand.indices())
+    got = cells(cand)
     assert got == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
     assert got == brute_candidates(grid, 1.0, "restricted")
 
@@ -147,7 +152,7 @@ def test_relaxed_disc_boundary_cells_included():
     """
     grid = build_grid(2.0, 1.0, 1.5)
     cand = candidates(grid, Circle(1, 1.0), DISC, "relaxed")
-    got = set(cand.indices())
+    got = cells(cand)
     assert got == brute_candidates(grid, 1.0, "relaxed")
     assert len(got) == 12
 
@@ -158,16 +163,16 @@ def test_relaxed_contains_restricted_corners():
     for r in (0.8, 1.0, 1.4, 2.9):
         res = candidates(grid, Circle(1, r), DISC, "restricted")
         rel = candidates(grid, Circle(1, r), DISC, "relaxed")
-        for i, j in res.indices():
+        for i, j in np.argwhere(res):
             if i < grid.cells_x and j < grid.cells_y:
-                assert rel.mask[i, j]
+                assert rel[i, j]
 
 
 def test_relaxed_strip_covers_inset():
     """Every cell that meets the inset rectangle [1,3]x[1,3]: all 16."""
     grid = build_strip_grid(4.0, 4.0, 1.0, 1.5)
     cand = candidates(grid, Circle(1, 1.0), StripContainer(4.0), "relaxed")
-    got = set(cand.indices())
+    got = cells(cand)
     assert got == brute_candidates(grid, 1.0, "relaxed")
     assert len(got) == 16
 
@@ -179,7 +184,7 @@ def test_strip_empty_when_diameter_exceeds_an_extent(mode, length, width):
     all, although at 1.75 one cell spans both ends of the empty inset."""
     grid = build_strip_grid(length, width, 0.4, 1.0)
     cand = candidates(grid, Circle(1, 0.9), StripContainer(width), mode)
-    assert cand.count == 0
+    assert not cand.any()
 
 
 @given(
@@ -205,9 +210,9 @@ def test_candidates_match_brute_oracle(strip, size, width, radii, spacing):
     for k, radius in enumerate(radii, 1):
         for mode in ("restricted", "relaxed"):
             cand = candidates(grid, Circle(k, radius), container, mode)
-            assert set(cand.indices()) == brute_candidates(grid, radius, mode)
+            assert cells(cand) == brute_candidates(grid, radius, mode)
             shared = candidates(grid, Circle(k, radius), container, mode, steps)
-            assert np.array_equal(cand.mask, shared.mask)
+            assert np.array_equal(cand, shared)
 
 
 def brute_frontier(min_sq, mode, limit=64):
@@ -352,8 +357,8 @@ def test_halving_delta_preserves_restricted_candidates(size, ratio):
         return
     coarse_set = candidates(grid, Circle(1, radius), DISC, "restricted")
     fine_set = candidates(fine, Circle(1, radius), DISC, "restricted")
-    for i, j in coarse_set.indices():
-        assert fine_set.mask[2 * i, 2 * j]
+    for i, j in np.argwhere(coarse_set):
+        assert fine_set[2 * i, 2 * j]
 
 
 @given(
@@ -378,12 +383,12 @@ def test_relaxed_covers_refined_restricted(size, ratio):
         cells = {low} if low != steps else {low - 1, low}
         return [c + coarse.theta for c in cells if 0 <= c + coarse.theta < count]
 
-    for i, j in res.indices():
+    for i, j in np.argwhere(res):
         sx = Fraction(i - fine.theta, 3)
         sy = Fraction(j - fine.theta, 3)
         for ci in containing_cells(sx, coarse.cells_x):
             for cj in containing_cells(sy, coarse.cells_y):
-                assert rel.mask[ci, cj], ((i, j), (ci, cj))
+                assert rel[ci, cj], ((i, j), (ci, cj))
 
 
 def _check_pair_thresholds(radii, delta):
@@ -394,7 +399,7 @@ def _check_pair_thresholds(radii, delta):
         assert table[a][a] == 0
         for b in range(n):
             if a != b:
-                r_sum = exact(radii[a]) + exact(radii[b])
+                r_sum = Fraction(radii[a]) + Fraction(radii[b])
                 assert table[a][b] == min_sq_steps(r_sum, delta)
                 assert table[a][b] == math.ceil((r_sum / delta) ** 2)
 
@@ -417,7 +422,7 @@ def test_pair_thresholds_match_min_sq_steps(radii, delta):
     ],
     ids=["equal", "two-groups", "next-float", "near-tie"],
 )
-@pytest.mark.parametrize("delta", [Fraction(1, 4), exact(0.1)])
+@pytest.mark.parametrize("delta", [Fraction(1, 4), Fraction(0.1)])
 def test_pair_thresholds_equal_and_near_tied_radii(radii, delta):
     _check_pair_thresholds(radii, delta)
 

@@ -336,7 +336,7 @@ def test_single_circle_counts(tmp_path):
     model = _export(problem, tmp_path, "one")
     encoding = build_encoding(problem)
 
-    domain = problem.domains[1].count
+    domain = int(problem.domains[1].sum())
     assert domain > 0
     bit_vars = [n for n in model.binaries if n.startswith(("xb_", "yb_"))]
     sel_vars = [n for n in model.binaries if n.startswith("sel_")]
@@ -376,7 +376,7 @@ def test_single_circle_full_exhaustive(tmp_path):
             satisfied &= totals >= row.rhs
         else:
             satisfied &= totals <= row.rhs
-    assert int(satisfied.sum()) == problem.domains[1].count
+    assert int(satisfied.sum()) == int(problem.domains[1].sum())
 
     feasible, witness = enumerate_lp_feasible(model)
     assert feasible and witness is not None
@@ -512,5 +512,5 @@ def test_variables_declared_once_and_used(tmp_path):
         assert model.binaries == encoding.variable_names()
         # every candidate has a selector and every pair a frontier block
         for cid in (1, 2):
-            assert len(encoding.selectors[cid]) == problem.domains[cid].count
+            assert len(encoding.selectors[cid]) == int(problem.domains[cid].sum())
         assert set(encoding.frontier_selectors) == set(problem.min_sq)

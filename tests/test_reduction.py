@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 import circlepack
 from circlepack.feasibility import build_problem
 from circlepack.files import read_instance
-from circlepack.geometry import Circle, CircleContainer, Instance, exact
+from circlepack.geometry import Circle, CircleContainer, Instance
 from circlepack.grid import (
     Grid,
     _pack,
@@ -46,7 +46,7 @@ from circlepack.reduction import (
     write_region_pgm,
 )
 
-from test_bounds import _reference_lb3
+from test_bounds import _one_row, _reference_lb3
 
 
 INSTANCE_DIR = Path(circlepack.__file__).parent / "data" / "instances"
@@ -58,7 +58,7 @@ def disc_instance(name, radii):
 
 def brute_annulus(grid, radius, reference, size):
     """Oracle: exact Fraction cell-vs-annulus intersection test."""
-    r, ref, size_q = exact(radius), exact(reference), exact(size)
+    r, ref, size_q = Fraction(radius), Fraction(reference), Fraction(size)
     outer, inner = size_q - r, max(Fraction(0), 2 * ref + r - size_q)
     got = set()
     if outer < 0 or inner > outer:
@@ -117,7 +117,7 @@ def test_annulus_degenerates_to_full_disk():
     assert got == brute_annulus(grid, 1.0, 1.0, 4.0)
     # inner radius is 0: every cell within the containment disk survives
     rel = candidates(grid, Circle(1, 1.0), CircleContainer(), "relaxed")
-    assert np.array_equal(mask, rel.mask)
+    assert np.array_equal(mask, rel)
 
 
 def test_annulus_circle_filling_container():
@@ -136,8 +136,8 @@ def test_empty_annulus_kills_straddling_cells():
     mask = annulus_region(Circle(1, 1.0), 1.9, 1.0, grid)
     assert not mask.any()
     # sanity: the one-sided tests alone would have kept something
-    outer = (exact(1.9) - 1) / grid.delta_exact
-    inner = (2 + 1 - exact(1.9)) / grid.delta_exact
+    outer = (Fraction(1.9) - 1) / grid.delta_exact
+    inner = (2 + 1 - Fraction(1.9)) / grid.delta_exact
     assert inner > outer  # the annulus is truly empty
 
 
@@ -220,7 +220,7 @@ def test_conservativeness_without_symmetry():
             for i in range(grid.cells_x):
                 for j in range(grid.cells_y):
                     x0, y0, x1, y1 = grid.cell_bounds_exact(i, j)
-                    if x0 <= exact(x) <= x1 and y0 <= exact(y) <= y1:
+                    if x0 <= Fraction(x) <= x1 and y0 <= Fraction(y) <= y1:
                         found = found or bool(result.masks[cid][i, j])
             assert found, (cid, angle_deg)
 
@@ -534,7 +534,7 @@ def test_region_feasible_is_the_propagate_answer(path):
         probes.append((size, delta_r, answer))
         return answer
 
-    _reference_lb3(instance, probe=recording)
+    _reference_lb3(instance, upper=_one_row(instance), probe=recording)
     assert probes
     for size, delta_r, answer in probes:
         grid = grid_for_instance(instance, size, delta_r)
